@@ -294,8 +294,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return exitFailure
 		}
-		harness.UseStore(st)
-		defer harness.UseStore(nil)
+		pool.SetStore(st)
 	}
 	var sj *harness.SweepJournal
 	if *journalPath != "" {
@@ -326,8 +325,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			})
 		}
-		harness.UseStore(sj)
-		defer harness.UseStore(nil)
+		pool.SetStore(sj)
 	}
 
 	// Graceful drain: the first SIGINT/SIGTERM stops dispatching new
@@ -357,7 +355,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		close(sigDone)
 	}()
 
-	failBase := harness.FailedCellCount()
 	var rc int
 	switch {
 	case *perfMode:
@@ -367,7 +364,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		rc = runReport(names, p, pool, *format, &interrupted, stdout, stderr)
 	}
-	if rc == exitOK && (interrupted.Load() || harness.FailedCellCount() > failBase) {
+	if rc == exitOK && (interrupted.Load() || pool.FailedCells() > 0) {
 		rc = exitPartial
 	}
 

@@ -396,14 +396,15 @@ func securityRun(_ Params, pool *Pool) []Result {
 }
 
 // ablationsRun runs the five design-choice sweeps of DESIGN.md §4 as
-// independent units. The sweeps stay pinned to the Table 3 machine
-// regardless of Params.Machine: they are design-choice studies
-// anchored to the paper's configuration, not machine sweeps.
+// independent units, each point through the pool's store. The sweeps
+// stay pinned to the Table 3 machine regardless of Params.Machine:
+// they are design-choice studies anchored to the paper's
+// configuration, not machine sweeps.
 func ablationsRun(p Params, pool *Pool) []Result {
 	sweeps := sim.AblationSweeps()
 	out := make([]Result, len(sweeps))
 	pool.Map(len(sweeps), func(i int) {
-		a := sweeps[i](p.Visits)
+		a := sweeps[i](p.Visits, pool.runDirect)
 		t := Result{
 			Kind:    KindTable,
 			Title:   "Ablation: " + a.Name,

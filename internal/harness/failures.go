@@ -4,10 +4,10 @@ package harness
 // workload kernel bug, an injected fault, a watchdog timeout — into
 // structured CellError records instead of crashing the process.
 // Healthy cells complete normally; failed cells leave their result
-// slots zero, are listed in MatrixResult/MixResult, and surface in the
+// slots zero, are recorded on the sweep's Pool, and surface in the
 // report as a schema-stable "FAILED cells" table (present only when
 // failures exist) that every emitter renders. cmd/califorms-bench maps
-// a non-zero failure count to exit code 3, partial failure.
+// a non-zero Pool.FailedCells to exit code 3, partial failure.
 //
 // Two determinism caveats, both documented in DESIGN.md §17: which
 // cells fail under rate-based fault injection depends on scheduling
@@ -20,8 +20,6 @@ import (
 	"os"
 	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/sim"
@@ -31,41 +29,9 @@ import (
 // to stderr, never into emitter output (addresses are nondeterministic).
 type CellError struct {
 	Cell  string `json:"cell"`  // deterministic cell coordinates
-	Stage string `json:"stage"` // run | capture | replay | mix | task
+	Stage string `json:"stage"` // capture | replay | mix | task
 	Err   string `json:"error"`
 	Stack string `json:"-"`
-}
-
-// failures is a concurrency-safe CellError collector; Matrix.Run and
-// Mix.Run each use a local one so the result value can carry a plain
-// sorted slice. When pool is set, every added failure is also routed
-// to that pool's sweep-scoped accounting (and through it to the
-// process-wide counter behind exit code 3).
-type failures struct {
-	pool *Pool
-	mu   sync.Mutex
-	list []CellError
-}
-
-func (f *failures) add(ce CellError) {
-	f.mu.Lock()
-	f.list = append(f.list, ce)
-	f.mu.Unlock()
-	if f.pool != nil {
-		f.pool.recordFailure(ce)
-	} else {
-		failTotal.Add(1)
-		logFailure(ce)
-	}
-}
-
-// sorted snapshots the collected failures in deterministic order.
-func (f *failures) sorted() []CellError {
-	f.mu.Lock()
-	out := append([]CellError(nil), f.list...)
-	f.mu.Unlock()
-	sortCellErrors(out)
-	return out
 }
 
 func sortCellErrors(out []CellError) {
@@ -80,13 +46,6 @@ func sortCellErrors(out []CellError) {
 	})
 }
 
-// failTotal is the process-wide failure count backing the CLI's
-// exit-code-3 decision. The pending list behind each experiment's
-// FAILED record lives on the Pool (see Pool.recordFailure /
-// Pool.drainPending), so concurrent sweeps on separate pools —
-// califorms-server jobs — never bleed failures into each other.
-var failTotal atomic.Uint64
-
 // logFailure reports one failed cell on stderr (with the stack, when
 // the panic was not an already-classified injection or timeout).
 func logFailure(ce CellError) {
@@ -95,10 +54,6 @@ func logFailure(ce CellError) {
 		fmt.Fprintf(os.Stderr, "%s\n", ce.Stack)
 	}
 }
-
-// FailedCellCount returns the process-wide number of failed cells so
-// far. It only grows; callers snapshot and diff around a sweep.
-func FailedCellCount() uint64 { return failTotal.Load() }
 
 // FailedTitle titles the failure record appended to an experiment's
 // results when cells failed. The record is schema-stable: it exists

@@ -23,6 +23,15 @@ func smallMatrix() Matrix {
 	}
 }
 
+// runFailing runs m on a fresh pool of the given width and returns
+// the results with the cells that failed, drained from the pool in
+// deterministic order.
+func runFailing(m Matrix, workers int) (MatrixResult, []CellError) {
+	pool := NewPool(workers)
+	res := m.Run(pool)
+	return res, pool.drainPending()
+}
+
 // armFaults enables injection for the test body and disarms it
 // afterwards. Pending-failure state is pool-scoped, so tests that
 // discard their pools leave no global residue to clean.
@@ -42,11 +51,11 @@ func TestInjectedPanicsFailEveryCellDeterministically(t *testing.T) {
 
 	var got [][]CellError
 	for _, workers := range []int{1, 4} {
-		res := m.Run(NewPool(workers))
-		if want := len(m.Cells()); len(res.Failed) != want {
-			t.Fatalf("workers=%d: %d failed cells, want %d", workers, len(res.Failed), want)
+		res, failed := runFailing(m, workers)
+		if want := len(m.Cells()); len(failed) != want {
+			t.Fatalf("workers=%d: %d failed cells, want %d", workers, len(failed), want)
 		}
-		for _, ce := range res.Failed {
+		for _, ce := range failed {
 			if ce.Err != "injected panic at cell.panic" {
 				t.Fatalf("unexpected error text %q", ce.Err)
 			}
@@ -58,7 +67,7 @@ func TestInjectedPanicsFailEveryCellDeterministically(t *testing.T) {
 		if res.Base[0][0] != (sim.Result{}) {
 			t.Fatal("failed baseline slot holds a non-zero result")
 		}
-		got = append(got, res.Failed)
+		got = append(got, failed)
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
 		t.Fatal("failure set differs across worker counts at rate 1")
@@ -71,19 +80,19 @@ func TestHealthyCellsCompleteAroundFailures(t *testing.T) {
 	// against an uninjected reference and check that exactly the failed
 	// cells are zero and every other slot matches the reference).
 	m := smallMatrix()
-	want := m.Run(NewPool(2))
-	if len(want.Failed) != 0 {
-		t.Fatalf("reference run failed cells: %v", want.Failed)
+	want, wantFailed := runFailing(m, 2)
+	if len(wantFailed) != 0 {
+		t.Fatalf("reference run failed cells: %v", wantFailed)
 	}
 
 	armFaults(t, faultinject.Config{Seed: 3, Rate: 0.5, Points: []string{"cell.panic"}})
-	got := m.Run(NewPool(2))
+	got, gotFailed := runFailing(m, 2)
 	faultinject.Disable()
-	if len(got.Failed) == 0 {
+	if len(gotFailed) == 0 {
 		t.Skip("seed 3 at rate 0.5 fired nothing on this schedule")
 	}
-	failed := make(map[string]bool, len(got.Failed))
-	for _, ce := range got.Failed {
+	failed := make(map[string]bool, len(gotFailed))
+	for _, ce := range gotFailed {
 		failed[ce.Cell] = true
 	}
 	for _, cell := range m.Cells() {
@@ -108,18 +117,14 @@ func TestHealthyCellsCompleteAroundFailures(t *testing.T) {
 func TestFailedCountAndPendingDrain(t *testing.T) {
 	m := smallMatrix()
 	armFaults(t, faultinject.Config{Seed: 1, Rate: 1, Points: []string{"cell.panic"}})
-	base := FailedCellCount()
 	pool := NewPool(2)
-	res := m.Run(pool)
-	if n := FailedCellCount() - base; n != uint64(len(res.Failed)) {
-		t.Fatalf("process-wide count grew by %d, MatrixResult lists %d", n, len(res.Failed))
+	m.Run(pool)
+	want := len(m.Cells())
+	if n := pool.FailedCells(); n != uint64(want) {
+		t.Fatalf("pool-scoped count is %d, want %d (every cell)", n, want)
 	}
-	if n := pool.FailedCells(); n != uint64(len(res.Failed)) {
-		t.Fatalf("pool-scoped count is %d, MatrixResult lists %d", n, len(res.Failed))
-	}
-	pending := pool.drainPending()
-	if !reflect.DeepEqual(pending, res.Failed) {
-		t.Fatal("drained pending failures differ from MatrixResult.Failed")
+	if n := len(pool.drainPending()); n != want {
+		t.Fatalf("drained %d pending failures, want %d", n, want)
 	}
 	if len(pool.drainPending()) != 0 {
 		t.Fatal("second drain returned failures")
@@ -164,11 +169,11 @@ func TestWatchdogTimesOutRunawayCells(t *testing.T) {
 	m := smallMatrix()
 	sim.SetCellTimeout(time.Nanosecond)
 	t.Cleanup(func() { sim.SetCellTimeout(0) })
-	res := m.Run(NewPool(2))
-	if len(res.Failed) == 0 {
+	_, failed := runFailing(m, 2)
+	if len(failed) == 0 {
 		t.Fatal("no cell tripped a 1ns watchdog")
 	}
-	for _, ce := range res.Failed {
+	for _, ce := range failed {
 		if want := "cell exceeded -cell-timeout=1ns"; ce.Err != want {
 			t.Fatalf("timeout error = %q, want %q", ce.Err, want)
 		}
@@ -179,8 +184,8 @@ func TestWatchdogTimesOutRunawayCells(t *testing.T) {
 
 	// Disarmed, the same sweep runs clean.
 	sim.SetCellTimeout(0)
-	if res := m.Run(NewPool(2)); len(res.Failed) != 0 {
-		t.Fatalf("disarmed watchdog still failed cells: %v", res.Failed)
+	if _, failed := runFailing(m, 2); len(failed) != 0 {
+		t.Fatalf("disarmed watchdog still failed cells: %v", failed)
 	}
 }
 
@@ -192,11 +197,11 @@ func TestGenerousWatchdogIsByteTransparent(t *testing.T) {
 	want := m.Run(NewPool(2))
 	sim.SetCellTimeout(time.Hour)
 	t.Cleanup(func() { sim.SetCellTimeout(0) })
-	got := m.Run(NewPool(2))
+	got, failed := runFailing(m, 2)
 	if !reflect.DeepEqual(want.Base, got.Base) || !reflect.DeepEqual(want.Runs, got.Runs) {
 		t.Fatal("an untripped watchdog changed sweep results")
 	}
-	if len(got.Failed) != 0 {
-		t.Fatalf("1h watchdog failed cells: %v", got.Failed)
+	if len(failed) != 0 {
+		t.Fatalf("1h watchdog failed cells: %v", failed)
 	}
 }

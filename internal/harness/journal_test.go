@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -118,19 +119,19 @@ func TestJournaledSweepResumesWithZeroGenPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	UseStore(sj)
-	want := m.Run(NewPool(2))
-	UseStore(nil)
+	pool := NewPool(2)
+	pool.SetStore(sj)
+	want := m.Run(pool)
 	sj.Close()
 
 	r, err := ResumeSweep(path, man, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	UseStore(r)
-	t.Cleanup(func() { UseStore(nil) })
+	pool = NewPool(4)
+	pool.SetStore(r)
 	before := sim.GenerationPasses()
-	got := m.Run(NewPool(4))
+	got := m.Run(pool)
 	if n := sim.GenerationPasses() - before; n != 0 {
 		t.Errorf("resumed sweep performed %d generation passes, want 0", n)
 	}
@@ -144,7 +145,10 @@ func TestSweepJournalForwardsToBacking(t *testing.T) {
 	// With a backing store attached, journaled artifacts land in both;
 	// a fresh journal over a warm backing store serves from the backing
 	// tier.
-	st := withStore(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	sj, err := NewSweep(filepath.Join(dir, "a.journal"), testManifest(), st)
 	if err != nil {

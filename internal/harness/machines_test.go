@@ -87,12 +87,16 @@ func TestMachinesAxisSharesCapture(t *testing.T) {
 		t.Fatalf("expected every key to span both machines: %d keys, %d cells", len(keys), len(cells))
 	}
 	for _, workers := range []int{1, 4} {
+		pool := NewPool(workers)
 		before := sim.GenerationPasses()
-		m.Run(NewPool(workers))
+		m.Run(pool)
 		passes := sim.GenerationPasses() - before
 		if passes != uint64(len(keys)) {
 			t.Fatalf("workers=%d: %d generation passes for %d distinct op streams (%d cells)",
 				workers, passes, len(keys), len(cells))
+		}
+		if n := pool.GenPasses(); n != passes {
+			t.Fatalf("workers=%d: pool counted %d generation passes, the process %d", workers, n, passes)
 		}
 	}
 }
@@ -129,9 +133,10 @@ func TestMachinesAxisMatchesIndependentRuns(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	disableReplay = true
-	direct := m.Run(NewPool(2))
-	disableReplay = false
+	direct := newMatrixResult(m)
+	for _, cell := range m.Cells() {
+		direct.emit(cell, sim.Run(m.Benches[cell.Bench], m.Config(cell)))
+	}
 	directBytes := emitAllFormats(render(direct))
 
 	for _, workers := range []int{1, 3} {

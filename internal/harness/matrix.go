@@ -123,12 +123,9 @@ type MatrixResult struct {
 	// column mi.
 	Base [][]sim.Result
 	// Runs[b][c][s][mi] is the (bench, config, seed, machine) unit
-	// result.
+	// result. The slots of failed cells (see Pool.FailedCells) hold
+	// zero Results.
 	Runs [][][][]sim.Result
-	// Failed lists the cells whose execution panicked (a kernel bug, an
-	// injected fault, a watchdog timeout), in deterministic order. The
-	// slots of failed cells hold zero Results.
-	Failed []CellError
 }
 
 // visits returns the effective per-unit visit count, mirroring
@@ -177,11 +174,6 @@ func (m Matrix) traceKey(i int, cell Cell) traceKey {
 	}
 	return k
 }
-
-// disableReplay switches Matrix.Run to one independent sim.Run per
-// cell, the original engine. It is the referee hook: equivalence
-// tests run both paths and require byte-identical results.
-var disableReplay = false
 
 // newMatrixResult allocates the coordinate-addressed result slots —
 // the emission stage's sink.
@@ -238,7 +230,7 @@ func (m Matrix) groups(cells []Cell) []*matrixGroup {
 // Run executes the matrix in three separable stages. Enumeration
 // (Cells) expands the declarative matrix into run units in canonical
 // order. Scheduling (schedule) partitions the units into op-stream
-// groups and plans each group against the installed store: results
+// groups and plans each group against the pool's store: results
 // already stored are emitted without running anything, groups whose
 // stream is stored replay it per missing machine, and only genuinely
 // new streams pay a generation pass — captured once and multicast to
@@ -250,23 +242,8 @@ func (m Matrix) groups(cells []Cell) []*matrixGroup {
 func (m Matrix) Run(pool *Pool) MatrixResult {
 	res := newMatrixResult(m)
 	cells := m.Cells()
-	fs := &failures{pool: pool}
-	if disableReplay {
-		pool.Map(len(cells), func(i int) {
-			if rp := runRecovered(func() {
-				faultinject.CheckPanic("cell.panic")
-				faultinject.Delay("cell.delay")
-				res.emit(cells[i], sim.Run(m.Benches[cells[i].Bench], m.Config(cells[i])))
-			}); rp != nil {
-				m.fail(fs, cells[i], "run", rp)
-			}
-		})
-		res.Failed = fs.sorted()
-		return res
-	}
 	pool.addTotal(len(cells))
-	pool.Run(m.schedule(pool, cells, pool.sweepStore(), res.emit, fs))
-	res.Failed = fs.sorted()
+	pool.Run(m.schedule(pool, cells, res.emit))
 	return res
 }
 
@@ -280,17 +257,11 @@ func (m Matrix) cellName(cell Cell) string {
 	return fmt.Sprintf("%s/%s/seed=%d/machine=%d", m.Benches[cell.Bench].Name, cfg, cell.Seed, cell.Machine)
 }
 
-// fail records one failed cell with the matrix-local collector, which
-// routes it on to the sweep- and process-wide accounting behind exit
-// code 3.
-func (m Matrix) fail(fs *failures, cell Cell, stage string, rp *recoveredPanic) {
-	fs.add(CellError{Cell: m.cellName(cell), Stage: stage, Err: rp.msg, Stack: rp.stack})
-}
-
 // schedule turns the enumerated cells into pool tasks, one per
-// op-stream group, each planned against st (nil: always run). Failed
-// cells land in fs; the group's healthy cells still emit.
-func (m Matrix) schedule(pool *Pool, cells []Cell, st Store, emit func(Cell, sim.Result), fs *failures) []Task {
+// op-stream group, each planned against the pool's store (nil: always
+// run). Failed cells land on the pool; the group's healthy cells still
+// emit.
+func (m Matrix) schedule(pool *Pool, cells []Cell, emit func(Cell, sim.Result)) []Task {
 	// One decision script per benchmark, captured on first use and
 	// shared read-only by every cell of that benchmark. Fully warm
 	// groups never force the capture.
@@ -304,7 +275,7 @@ func (m Matrix) schedule(pool *Pool, cells []Cell, st Store, emit func(Cell, sim
 	tasks := make([]Task, len(groups))
 	for gi, g := range groups {
 		g := g
-		tasks[gi] = func(func(Task)) { m.runGroup(pool, cells, g, st, script, emit, fs) }
+		tasks[gi] = func(func(Task)) { m.runGroup(pool, cells, g, script, emit) }
 	}
 	return tasks
 }
@@ -316,22 +287,13 @@ func (m Matrix) schedule(pool *Pool, cells []Cell, st Store, emit func(Cell, sim
 // execution is panic-isolated: a replay failure costs one cell, a
 // capture failure costs the group's missing cells (the generation pass
 // is shared), and either way the rest of the sweep completes.
-func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, script func(int) *workload.Script, emit func(Cell, sim.Result), fs *failures) {
+func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, script func(int) *workload.Script, emit func(Cell, sim.Result)) {
+	st := pool.store
 	first := cells[g.cells[0]]
 	spec := m.Benches[first.Bench]
 	rcs := make([]sim.RunConfig, len(g.cells))
 	for i, ci := range g.cells {
 		rcs[i] = m.Config(cells[ci])
-	}
-
-	// done registers one completed group cell — emitted or failed —
-	// with the pool's progress counters. The group path plans its own
-	// totals (Matrix.Run adds len(cells) up front), unlike the Map
-	// paths, which count their units themselves.
-	done := func() {
-		if pool != nil {
-			pool.cellDone()
-		}
 	}
 
 	// Tier 1: finished results. missing collects the group-local
@@ -344,7 +306,7 @@ func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, scr
 			keys[i] = sim.RunKey(spec, rcs[i])
 			if r, ok := st.GetRun(keys[i]); ok {
 				emit(cells[ci], r)
-				done()
+				pool.cellDone()
 			} else {
 				missing = append(missing, i)
 			}
@@ -375,9 +337,9 @@ func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, scr
 					st.PutRun(keys[i], r)
 					emit(cells[g.cells[i]], r)
 				}); rp != nil {
-					m.fail(fs, cells[g.cells[i]], "replay", rp)
+					pool.fail(m.cellName(cells[g.cells[i]]), "replay", rp)
 				}
-				done()
+				pool.cellDone()
 			}
 			return
 		}
@@ -395,6 +357,7 @@ func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, scr
 			rec = trace.NewRecording(0)
 		}
 		sc := script(first.Bench)
+		pool.genPasses.Add(1)
 		var results []sim.Result
 		if len(missing) == 1 {
 			results = []sim.Result{sim.RunScripted(spec, rcs[missing[0]], sc, rec)}
@@ -413,7 +376,7 @@ func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, scr
 				st.PutRun(keys[i], results[j])
 			}
 			emit(cells[g.cells[i]], results[j])
-			done()
+			pool.cellDone()
 		}
 	})
 	if rp != nil {
@@ -424,8 +387,8 @@ func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, st Store, scr
 		// claim it instead of waiting forever.
 		abortStream(st, streamKey)
 		for _, i := range missing {
-			m.fail(fs, cells[g.cells[i]], "capture", rp)
-			done()
+			pool.fail(m.cellName(cells[g.cells[i]]), "capture", rp)
+			pool.cellDone()
 		}
 	}
 }

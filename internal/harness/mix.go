@@ -112,13 +112,11 @@ type MixResult struct {
 	SoloBase []sim.Result
 	SoloProt [][]sim.Result
 	// MixBase[t][ci] / MixProt[t][ci][s] are the multicore runs: per-
-	// core results plus the shared-L3 view.
+	// core results plus the shared-L3 view. The slots of failed units
+	// (see Pool.FailedCells) hold zero results; a failed solo capture
+	// also fails the mix units that needed its recording.
 	MixBase [][]multicore.RunResult
 	MixProt [][][]multicore.RunResult
-	// Failed lists the units whose execution panicked, in deterministic
-	// order; their slots hold zero results. A failed solo capture also
-	// fails the mix units that needed its recording.
-	Failed []CellError
 
 	benchIdx map[string]int
 }
@@ -165,7 +163,7 @@ func (mx Mix) Run(pool *Pool) MixResult {
 	// a stored recording skips the generation pass (replaying it when
 	// the solo result is missing); only a full miss captures — a warm
 	// mix sweep performs zero generation passes.
-	st := pool.sweepStore()
+	st := pool.store
 	scripts := make([]*workload.Script, len(benches))
 	once := make([]sync.Once, len(benches))
 	script := func(b int) *workload.Script {
@@ -178,26 +176,27 @@ func (mx Mix) Run(pool *Pool) MixResult {
 		if v > 0 {
 			rc = mx.protConfig(v - 1)
 		}
-		if st == nil {
-			rec := trace.NewRecording(0)
-			return sim.RunScripted(benches[b], rc, script(b), rec), rec
-		}
-		runKey := sim.RunKey(benches[b], rc)
-		if rec, ok := st.GetRecording(sim.StreamKey(benches[b], rc)); ok {
-			if r, ok := st.GetRun(runKey); ok {
+		runKey, streamKey := sim.RunKey(benches[b], rc), sim.StreamKey(benches[b], rc)
+		if st != nil {
+			if rec, ok := st.GetRecording(streamKey); ok {
+				if r, ok := st.GetRun(runKey); ok {
+					return r, rec
+				}
+				r := sim.RunReplayed(benches[b].Name, rc, rec)
+				st.PutRun(runKey, r)
 				return r, rec
 			}
-			r := sim.RunReplayed(benches[b].Name, rc, rec)
-			st.PutRun(runKey, r)
-			return r, rec
 		}
 		rec := trace.NewRecording(0)
-		r := sim.RunScripted(benches[b], rc, script(b), rec)
-		st.PutRecording(sim.StreamKey(benches[b], rc), rec)
-		st.PutRun(runKey, r)
+		sc := script(b)
+		pool.genPasses.Add(1)
+		r := sim.RunScripted(benches[b], rc, sc, rec)
+		if st != nil {
+			st.PutRecording(streamKey, rec)
+			st.PutRun(runKey, r)
+		}
 		return r, rec
 	}
-	fs := &failures{pool: pool}
 	pool.Map(len(benches)*variants, func(u int) {
 		b, v := u/variants, u%variants
 		if rp := runRecovered(func() {
@@ -221,7 +220,7 @@ func (mx Mix) Run(pool *Pool) MixResult {
 				rc = mx.protConfig(v - 1)
 			}
 			abortStream(st, sim.StreamKey(benches[b], rc))
-			mixFail(fs, fmt.Sprintf("solo/%s/%s", benches[b].Name, variantName(v)), "capture", rp)
+			pool.fail(fmt.Sprintf("solo/%s/%s", benches[b].Name, variantName(v)), "capture", rp)
 		}
 	})
 
@@ -269,10 +268,9 @@ func (mx Mix) Run(pool *Pool) MixResult {
 			}
 			emitMix(&res, t, ci, v, rr)
 		}); rp != nil {
-			mixFail(fs, fmt.Sprintf("mix/%s/cores=%d/%s", tuple.Name, mx.Cores[ci], variantName(v)), "mix", rp)
+			pool.fail(fmt.Sprintf("mix/%s/cores=%d/%s", tuple.Name, mx.Cores[ci], variantName(v)), "mix", rp)
 		}
 	})
-	res.Failed = fs.sorted()
 	return res
 }
 
@@ -283,12 +281,6 @@ func variantName(v int) string {
 		return "base"
 	}
 	return fmt.Sprintf("seed=%d", v-1)
-}
-
-// mixFail records one failed mix unit with the sweep-local collector,
-// which routes it on to the sweep- and process-wide accounting.
-func mixFail(fs *failures, cell, stage string, rp *recoveredPanic) {
-	fs.add(CellError{Cell: cell, Stage: stage, Err: rp.msg, Stack: rp.stack})
 }
 
 // emitMix folds one stage-two unit into its coordinate slot.

@@ -5,6 +5,9 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Pool is a fixed-width worker pool with a work-stealing shard
@@ -20,14 +23,15 @@ import (
 // handler in cmd/califorms-bench drains the pool, flushes store and
 // journal, and exits resumable.
 //
-// Beyond scheduling, a Pool is the per-sweep execution context: it
-// carries the sweep's store handle (SetStore — overriding the
-// process-global UseStore seam), its progress counters (SetProgress),
-// and its failed-cell list. That is what lets several sweeps run
-// concurrently in one process — califorms-server executes each job on
-// its own Pool with its own journal-backed store, and neither the
-// failure tables nor the progress counts of concurrent jobs can bleed
-// into each other.
+// Beyond scheduling, a Pool is the per-sweep execution context and the
+// only home of a sweep's state: its store (SetStore — the one every
+// tier reads, direct runs included), its progress counters
+// (SetProgress), its failed cells (FailedCells) and the generation
+// passes its sweeps ran (GenPasses). That is what lets several sweeps
+// run concurrently in one process — califorms-server executes each job
+// on its own Pool with its own journal-backed store, and neither the
+// failure tables, the progress counts nor the generation-pass counts
+// of concurrent jobs can bleed into each other.
 type Pool struct {
 	workers int
 	drain   atomic.Bool
@@ -35,10 +39,14 @@ type Pool struct {
 	mu     sync.Mutex
 	active *sched
 
-	// store is the per-sweep store override; nil falls back to the
-	// process-global UseStore handle. Set before the sweep starts,
-	// never concurrently with Run.
+	// store is the sweep's store; nil runs every cell. Set before the
+	// sweep starts, never concurrently with Run.
 	store Store
+
+	// genPasses counts the workload generation passes this pool's
+	// sweeps ran: Matrix captures, Mix stage-one captures and direct
+	// runs the store could not serve.
+	genPasses atomic.Uint64
 
 	// Progress accounting: total counts every scheduled sweep cell
 	// (matrix cells, mix units, Map units), done every cell that
@@ -67,19 +75,38 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// SetStore installs the store this pool's sweeps schedule against,
-// overriding the process-global UseStore handle. nil restores the
-// fallback. Call it before submitting work, never concurrently with
-// Run — it is sweep setup, not a hot-path knob.
+// SetStore installs the store this pool's sweeps schedule against;
+// nil (the default) runs every cell. Call it before submitting work,
+// never concurrently with Run — it is sweep setup, not a hot-path
+// knob.
 func (p *Pool) SetStore(s Store) { p.store = s }
 
-// sweepStore resolves the store for this pool's sweeps: the per-pool
-// override when set, the process-global handle otherwise.
-func (p *Pool) sweepStore() Store {
+// Store returns the store installed by SetStore (nil without one).
+func (p *Pool) Store() Store { return p.store }
+
+// GenPasses returns the number of workload generation passes this
+// pool's sweeps have run. It counts only this pool's work, so it is
+// exact however many pools run at once.
+func (p *Pool) GenPasses() uint64 { return p.genPasses.Load() }
+
+// runDirect executes one direct cell — a run outside any Matrix or Mix,
+// such as an ablation point — through the pool's store: a stored
+// result is served as is; otherwise the cell runs, costing one
+// generation pass, and its result is stored.
+func (p *Pool) runDirect(spec workload.Spec, rc sim.RunConfig) sim.Result {
+	key := ""
 	if p.store != nil {
-		return p.store
+		key = sim.RunKey(spec, rc)
+		if r, ok := p.store.GetRun(key); ok {
+			return r
+		}
 	}
-	return activeStore()
+	p.genPasses.Add(1)
+	r := sim.Run(spec, rc)
+	if p.store != nil {
+		p.store.PutRun(key, r)
+	}
+	return r
 }
 
 // SetProgress installs an observer of the pool's cell progress. It is
@@ -114,10 +141,10 @@ func (p *Pool) cellDone() {
 // FailedCells returns the number of cells that failed on this pool.
 func (p *Pool) FailedCells() uint64 { return p.failCount.Load() }
 
-// recordFailure registers one failed cell with the pool-scoped and
-// process-wide accounting and reports it on stderr.
-func (p *Pool) recordFailure(ce CellError) {
-	failTotal.Add(1)
+// fail registers one failed cell with the pool's accounting and
+// reports it on stderr.
+func (p *Pool) fail(cell, stage string, rp *recoveredPanic) {
+	ce := CellError{Cell: cell, Stage: stage, Err: rp.msg, Stack: rp.stack}
 	p.failCount.Add(1)
 	p.pendingMu.Lock()
 	p.pending = append(p.pending, ce)
@@ -304,7 +331,7 @@ func (p *Pool) Run(tasks []Task) {
 func (p *Pool) runTask(t Task, spawn func(Task)) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.recordFailure(CellError{Cell: "(pool task)", Stage: "task", Err: panicMessage(r), Stack: string(debug.Stack())})
+			p.fail("(pool task)", "task", &recoveredPanic{msg: panicMessage(r), stack: string(debug.Stack())})
 		}
 	}()
 	t(spawn)

@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -54,6 +57,49 @@ func emitAll(t *testing.T, p Params, pool *Pool) []byte {
 	return buf.Bytes()
 }
 
+// directRuns is the replay engine's referee store: GetRun answers
+// every key with an independent sim.Run of the configuration the key
+// names, so a sweep scheduled against it serves every Matrix cell and
+// every direct run (the ablation points) from its own fresh
+// simulation. Every other method misses or does nothing.
+type directRuns struct{ t *testing.T }
+
+func (d directRuns) GetRun(key string) (sim.Result, bool) {
+	var k struct {
+		Bench     string           `json:"bench"`
+		BenchSeed int64            `json:"bench_seed"`
+		Policy    sim.PolicyChoice `json:"policy"`
+		MinPad    int              `json:"min_pad"`
+		MaxPad    int              `json:"max_pad"`
+		FixedPad  int              `json:"fixed_pad"`
+		UseCForm  bool             `json:"use_cform"`
+		Seed      int64            `json:"layout_seed"`
+		Visits    int              `json:"visits"`
+		Heap      *alloc.Config    `json:"heap"`
+		Machine   machine.Desc     `json:"machine"`
+	}
+	if err := json.Unmarshal([]byte(key), &k); err != nil {
+		d.t.Errorf("run key %s: %v", key, err)
+		return sim.Result{}, false
+	}
+	spec, _ := workload.ByName(k.Bench)
+	rc := sim.RunConfig{
+		Policy: k.Policy, MinPad: k.MinPad, MaxPad: k.MaxPad, FixedPad: k.FixedPad,
+		UseCForm: k.UseCForm, LayoutSeed: k.Seed, Visits: k.Visits, Heap: k.Heap, Machine: k.Machine,
+	}
+	if sim.RunKey(spec, rc) != key {
+		d.t.Errorf("run key %s does not name a registry configuration", key)
+		return sim.Result{}, false
+	}
+	return sim.Run(spec, rc), true
+}
+
+func (directRuns) PutRun(string, sim.Result)                    {}
+func (directRuns) GetRecording(string) (*trace.Recording, bool) { return nil, false }
+func (directRuns) PutRecording(string, *trace.Recording)        {}
+func (directRuns) GetMix(string, any) bool                      { return false }
+func (directRuns) PutMix(string, any)                           {}
+
 // TestReplayEngineMatchesDirectRuns is the referee of the trace
 // capture/replay engine: for every registry experiment, the default
 // path (shared decision scripts, trace-key grouping, multicast
@@ -66,9 +112,9 @@ func TestReplayEngineMatchesDirectRuns(t *testing.T) {
 	}
 	p := Params{Visits: 300, Seeds: 2}
 
-	disableReplay = true
-	direct := emitAll(t, p, NewPool(2))
-	disableReplay = false
+	ref := NewPool(2)
+	ref.SetStore(directRuns{t})
+	direct := emitAll(t, p, ref)
 
 	for _, workers := range []int{1, 3} {
 		replayed := emitAll(t, p, NewPool(workers))

@@ -20,19 +20,22 @@ package harness
 // warm sweep emits byte-identical output to a cold one.
 
 import (
-	"sync"
-
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Store is the persistence seam the sweep scheduler drives.
-// *store.Store satisfies it; harness only names the interface so the
-// scheduling layer stays free of on-disk concerns. Implementations
-// must be safe for concurrent use, and every getter must treat any
-// internal failure as a miss.
+// Store is the persistence seam the sweep scheduler drives: the one
+// a Pool holds (Pool.SetStore) and every tier of its sweeps reads and
+// writes, direct runs included. *store.Store satisfies it; harness
+// only names the interface so the scheduling layer stays free of
+// on-disk concerns. Implementations must be safe for concurrent use,
+// and every getter must treat any internal failure as a miss.
 type Store interface {
-	sim.RunCache
+	// GetRun / PutRun move finished cell results, keyed by
+	// sim.RunKey. Puts are best-effort: a failed write only means the
+	// cell recomputes next time.
+	GetRun(key string) (sim.Result, bool)
+	PutRun(key string, r sim.Result)
 	// GetRecording / PutRecording move captured op streams, keyed by
 	// sim.StreamKey.
 	GetRecording(key string) (*trace.Recording, bool)
@@ -61,34 +64,3 @@ func abortStream(st Store, key string) {
 		a.AbortStream(key)
 	}
 }
-
-var (
-	storeMu    sync.RWMutex
-	sweepStore Store
-)
-
-// UseStore installs (or, with nil, removes) the store every subsequent
-// sweep schedules against. It also wires the same store into sim's
-// run cache, which covers the direct sim.Run entry points the
-// scheduler never sees (the ablation sweeps).
-func UseStore(s Store) {
-	storeMu.Lock()
-	sweepStore = s
-	storeMu.Unlock()
-	if s == nil {
-		sim.SetRunCache(nil)
-	} else {
-		sim.SetRunCache(s)
-	}
-}
-
-func activeStore() Store {
-	storeMu.RLock()
-	s := sweepStore
-	storeMu.RUnlock()
-	return s
-}
-
-// InstalledStore returns the store sweeps currently schedule against
-// (nil without one). The perf probe reads its counters through it.
-func InstalledStore() Store { return activeStore() }

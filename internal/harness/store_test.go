@@ -11,16 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// withStore installs a fresh on-disk store for the test body and
-// removes it afterwards.
-func withStore(t *testing.T) *store.Store {
+// withStore installs a fresh on-disk store on pool for the rest of
+// the test.
+func withStore(t *testing.T, pool *Pool) *store.Store {
 	t.Helper()
 	s, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	UseStore(s)
-	t.Cleanup(func() { UseStore(nil) })
+	pool.SetStore(s)
 	return s
 }
 
@@ -38,12 +37,18 @@ func TestWarmSweepByteIdenticalAndZeroGenPasses(t *testing.T) {
 
 	plain := emitAll(t, p, pool)
 
-	s := withStore(t)
+	s := withStore(t, pool)
+	before, poolBefore := sim.GenerationPasses(), pool.GenPasses()
 	cold := emitAll(t, p, pool)
 	if !bytes.Equal(plain, cold) {
 		t.Fatal("store-enabled cold sweep diverges from storeless output")
 	}
-	before := sim.GenerationPasses()
+	// The pool counts every generation pass its sweeps run: matrix
+	// captures, mix captures and direct (ablation) runs alike.
+	if n, want := pool.GenPasses()-poolBefore, sim.GenerationPasses()-before; n != want {
+		t.Errorf("cold sweep: pool counted %d generation passes, the process %d", n, want)
+	}
+	before = sim.GenerationPasses()
 	warm := emitAll(t, p, pool)
 	if n := sim.GenerationPasses() - before; n != 0 {
 		t.Errorf("warm sweep performed %d generation passes, want 0", n)
@@ -74,7 +79,7 @@ func TestIncrementalMachineSweepIsReplayOnly(t *testing.T) {
 	wide.Machines = []machine.Desc{machine.Default(), slow}
 	want := wide.Run(pool)
 
-	withStore(t)
+	withStore(t, pool)
 	m.Run(pool) // cold: captures every stream on the default machine
 
 	before := sim.GenerationPasses()
@@ -96,8 +101,8 @@ func TestIncrementalConfigSweepCapturesOnlyDelta(t *testing.T) {
 		Configs: []sim.RunConfig{{Policy: sim.PolicyFull, FixedPad: 1}},
 		Visits:  200,
 	}
-	withStore(t)
 	pool := NewPool(2)
+	withStore(t, pool)
 	m.Run(pool)
 
 	wider := m
@@ -121,7 +126,7 @@ func TestMixWarmRunIsPureLookup(t *testing.T) {
 		Visits: 200,
 	}
 	pool := NewPool(2)
-	withStore(t)
+	withStore(t, pool)
 	cold := mixTables(mx.Run(pool))
 
 	before := sim.GenerationPasses()

@@ -117,8 +117,8 @@ type Measurement struct {
 	// performed (sim.ProbeTotals.GenPasses): zero when every cell was
 	// served from the result store or replayed from stored streams.
 	GenPasses uint64 `json:"gen_passes"`
-	// Store* are the installed result store's read/write deltas across
-	// the experiment; all omitted when no store is installed.
+	// Store* are the pool's result store's read/write deltas across
+	// the experiment; all omitted when the pool has no store.
 	StoreHits         uint64 `json:"store_hits,omitempty"`
 	StoreMisses       uint64 `json:"store_misses,omitempty"`
 	StoreBytesRead    uint64 `json:"store_bytes_read,omitempty"`
@@ -159,10 +159,10 @@ func Measure(names []string, p harness.Params, pool *harness.Pool) (Report, erro
 		Workers:   pool.Workers(),
 		Machine:   p.MachineLabel(),
 	}
-	// counters reads the installed store's cumulative counters (zero
+	// counters reads the pool's store's cumulative counters (zero
 	// without one); per-experiment columns are window deltas.
 	counters := func() store.Counters {
-		if s, ok := harness.InstalledStore().(interface{ Counters() store.Counters }); ok {
+		if s, ok := pool.Store().(interface{ Counters() store.Counters }); ok {
 			return s.Counters()
 		}
 		return store.Counters{}

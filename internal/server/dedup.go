@@ -44,25 +44,32 @@ func newDedupStore(st harness.Store) *dedupStore {
 // neither stored nor in flight — registers a flight and returns a miss,
 // making the caller the stream's capturer. When the stream is in
 // flight it blocks until the flight releases and retries.
+//
+// The store is never read under mu, so reads of different streams
+// never wait on each other. A capture that finishes between the first
+// read and the claim has stored its recording before releasing its
+// flight, so the read after the claim sees it: the claim is dropped
+// and the stream is served, never captured twice.
 func (d *dedupStore) GetRecording(key string) (*trace.Recording, bool) {
 	for {
+		if rec, ok := d.st.GetRecording(key); ok {
+			return rec, true
+		}
 		d.mu.Lock()
 		ch, inflight := d.flights[key]
 		if !inflight {
-			// The store read happens under the lock so a concurrent
-			// PutRecording+release cannot slip between a miss and the
-			// claim. Captures dwarf the read, so the serialization is
-			// immaterial.
-			if rec, ok := d.st.GetRecording(key); ok {
-				d.mu.Unlock()
-				return rec, true
-			}
 			d.flights[key] = make(chan struct{})
-			d.mu.Unlock()
-			return nil, false
 		}
 		d.mu.Unlock()
-		<-ch
+		if inflight {
+			<-ch
+			continue
+		}
+		if rec, ok := d.st.GetRecording(key); ok {
+			d.release(key)
+			return rec, true
+		}
+		return nil, false
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -31,10 +30,9 @@ type Config struct {
 	QueueDepth int
 	// Jobs is the number of jobs executed concurrently (0: 1). The
 	// shared store plus stream singleflight keeps concurrent jobs from
-	// duplicating generation passes; note that the per-job gen_passes
-	// attribution is exact at 1 and approximate above (the counter is
-	// process-wide, so overlapping jobs may attribute a concurrent
-	// capture to either side).
+	// duplicating generation passes. Each job runs on its own pool,
+	// which counts its own generation passes, so per-job gen_passes is
+	// exact at any value.
 	Jobs int
 	// Log receives service diagnostics (nil: os.Stderr).
 	Log io.Writer
@@ -102,12 +100,6 @@ func New(cfg Config) (*Server, error) {
 		log:    logw,
 		jobs:   make(map[string]*Job),
 	}
-	// Wire the process-global run cache to the shared store so the
-	// direct sim.Run entry points the scheduler never sees (the
-	// ablation sweeps) reuse results too. Jobs override the harness
-	// store per pool with their journal (Pool.SetStore), so this global
-	// is only the fallback those direct paths read.
-	harness.UseStore(s.shared)
 
 	persisted, err := s.loadJobs()
 	if err != nil {
@@ -209,7 +201,6 @@ func (s *Server) runJob(j *Job) {
 	j.setJournaled(sj.Cells())
 	pool.SetStore(sj)
 
-	genBase := sim.GenerationPasses()
 	var results []harness.Result
 	for _, name := range rs.Names {
 		if pool.Draining() {
@@ -220,12 +211,11 @@ func (s *Server) runJob(j *Job) {
 		results = append(results, harness.Run(e, rs.Params, pool)...)
 		s.logf("job %s: %s completed in %v", j.id, e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	gen := sim.GenerationPasses() - genBase
 	sj.Close()
 
 	j.mu.Lock()
 	j.pool = nil
-	j.genPasses += gen
+	j.genPasses += pool.GenPasses()
 	j.failedCells = pool.FailedCells()
 	cancelled := j.cancelled
 	j.mu.Unlock()
@@ -347,7 +337,6 @@ func (s *Server) Drain() {
 func (s *Server) Close() {
 	s.Drain()
 	s.wg.Wait()
-	harness.UseStore(nil)
 }
 
 // ---- HTTP API ----
@@ -495,10 +484,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	respondJSON(w, http.StatusOK, j.view())
 }
 
-// handleVars serves the service counters: store traffic, the
-// process-wide generation-pass count, job-state totals and queue
-// occupancy. (A custom handler rather than package expvar so several
-// servers can coexist in one test process.)
+// handleVars serves the service counters: store traffic, job-state
+// totals, queue occupancy, and the generation passes and failed cells
+// summed over the job records. (A custom handler rather than package
+// expvar so several servers can coexist in one test process.)
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	c := s.st.Counters()
 	vars := map[string]any{
@@ -509,14 +498,19 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"bytes_read":    c.BytesRead,
 			"bytes_written": c.BytesWritten,
 		},
-		"total_gen_passes":  sim.GenerationPasses(),
-		"total_failed_cell": harness.FailedCellCount(),
 	}
 	states := map[JobState]int{}
+	var genPasses, failedCells uint64
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		states[j.State()]++
+		j.mu.Lock()
+		states[j.state]++
+		genPasses += j.genPasses
+		failedCells += j.failedCells
+		j.mu.Unlock()
 	}
+	vars["total_gen_passes"] = genPasses
+	vars["total_failed_cell"] = failedCells
 	vars["queue_depth"] = len(s.queue)
 	vars["queue_cap"] = cap(s.queue)
 	s.mu.Unlock()

@@ -14,12 +14,11 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // renderReference produces the artifact the CLI would print for spec:
-// the same resolve → run → emit pipeline, on a storeless pool. Call it
-// only while no Server is open (Server.New wires the process-global
-// store).
+// the same resolve → run → emit pipeline, on a storeless pool.
 func renderReference(t *testing.T, spec harness.SweepSpec) []byte {
 	t.Helper()
 	rs, err := spec.Resolve()
@@ -169,8 +168,7 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
 func TestJobLifecycleAllFormats(t *testing.T) {
 	base := harness.SweepSpec{Experiments: []string{"fig3", "fig10"}, Visits: 200, Seeds: 1}
 
-	// References first: the CLI-equivalent bytes, rendered before any
-	// server wires the global store.
+	// References first: the CLI-equivalent bytes.
 	refs := make(map[string][]byte)
 	for _, format := range harness.Formats() {
 		spec := base
@@ -180,6 +178,7 @@ func TestJobLifecycleAllFormats(t *testing.T) {
 
 	srv, ts := newTestServer(t, Config{})
 	var firstJSON []byte
+	var coldGen uint64
 	for i, format := range harness.Formats() {
 		spec := base
 		spec.Format = format
@@ -190,6 +189,9 @@ func TestJobLifecycleAllFormats(t *testing.T) {
 		}
 		if i == 0 && done.GenPasses == 0 {
 			t.Errorf("cold job reported gen_passes = 0, want > 0")
+		}
+		if i == 0 {
+			coldGen = done.GenPasses
 		}
 		if i > 0 && done.GenPasses != 0 {
 			// Same experiments and visits: every stream and run is
@@ -247,6 +249,9 @@ func TestJobLifecycleAllFormats(t *testing.T) {
 	if vars.Jobs[string(StateDone)] != len(harness.Formats())+1 {
 		t.Errorf("/debug/vars jobs = %v, want %d done", vars.Jobs, len(harness.Formats())+1)
 	}
+	if vars.Gen != coldGen {
+		t.Errorf("/debug/vars total_gen_passes = %d, want %d (the jobs' sum)", vars.Gen, coldGen)
+	}
 }
 
 func truncate(b []byte) string {
@@ -258,12 +263,13 @@ func truncate(b []byte) string {
 
 // TestConcurrentDuplicateSubmit asserts the stream singleflight: two
 // identical jobs submitted together to a 2-executor server cost
-// exactly as many generation passes as one cold run.
+// exactly as many generation passes as one cold run — in the process
+// total and in the sum of the jobs' own counts.
 func TestConcurrentDuplicateSubmit(t *testing.T) {
 	spec := harness.SweepSpec{Experiments: []string{"fig10"}, Visits: 100, Seeds: 1, Format: "json"}
 
 	// Reference: one cold run on its own store measures the spec's
-	// generation-pass cost (exact: single-executor server).
+	// generation-pass cost.
 	_, tsA := newTestServer(t, Config{Jobs: 1})
 	vA := submit(t, tsA, spec)
 	doneA := waitJob(t, tsA, vA.ID, "done", func(v jobView) bool { return v.State == StateDone })
@@ -284,15 +290,34 @@ func TestConcurrentDuplicateSubmit(t *testing.T) {
 	if delta != doneA.GenPasses {
 		t.Errorf("two concurrent identical jobs cost %d generation passes, want %d (one cold run)", delta, doneA.GenPasses)
 	}
-	// Per-job attribution is approximate above Jobs=1 (the counter is
-	// process-wide, and overlapping windows may both see a concurrent
-	// capture), so only the total is asserted here; the exact per-job
-	// number is covered at Jobs=1 in TestJobLifecycleAllFormats.
+	if sum := d1.GenPasses + d2.GenPasses; sum != doneA.GenPasses {
+		t.Errorf("jobs report %d + %d generation passes, want %d in all (one cold run)", d1.GenPasses, d2.GenPasses, doneA.GenPasses)
+	}
 	for _, v := range []jobView{d1, d2} {
 		_, _, got := fetchResult(t, tsB, v.ID)
 		if !bytes.Equal(got, refBytes) {
 			t.Errorf("job %s: artifact differs from the single-run reference", v.ID)
 		}
+	}
+}
+
+// TestAblationsJobJournalsItsRuns: the ablation sweeps' direct runs
+// go through the job's own store, so the job's journal records every
+// distinct run they make.
+func TestAblationsJobJournalsItsRuns(t *testing.T) {
+	keys := make(map[string]bool)
+	for _, sweep := range sim.AblationSweeps() {
+		sweep(100, func(spec workload.Spec, rc sim.RunConfig) sim.Result {
+			keys[sim.RunKey(spec, rc)] = true
+			return sim.Result{}
+		})
+	}
+
+	_, ts := newTestServer(t, Config{Jobs: 1, Workers: 2})
+	v := submit(t, ts, harness.SweepSpec{Experiments: []string{"ablations"}, Visits: 100, Seeds: 1})
+	done := waitJob(t, ts, v.ID, "done", func(v jobView) bool { return v.State == StateDone })
+	if done.Progress.Journaled != uint64(len(keys)) {
+		t.Errorf("ablations job journaled %d runs, want %d (its distinct runs)", done.Progress.Journaled, len(keys))
 	}
 }
 

@@ -30,15 +30,6 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// Render formats the sweep as a text table.
-func (a AblationResult) Render() string {
-	t := stats.Table{Title: "Ablation: " + a.Name, Headers: []string{"config", "cycles", "vs first", "note"}}
-	for _, r := range a.Rows {
-		t.AddRow(r.Label, fmt.Sprintf("%.0f", r.Cycles), stats.Pct(r.Slowdown), r.Note)
-	}
-	return t.String()
-}
-
 func finish(a *AblationResult) {
 	base := a.Rows[0].Cycles
 	for i := range a.Rows {
@@ -51,13 +42,13 @@ func finish(a *AblationResult) {
 // says the fill fits in the miss path (0 extra cycles) and the spill
 // can be pipelined; this quantifies what each un-hidden cycle would
 // cost, supporting the "can be completely hidden" claim's relevance.
-func AblationSpillFill(visits int) AblationResult {
+func AblationSpillFill(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
 	spec, _ := workload.ByName("xalancbmk")
 	out := AblationResult{Name: "L1<->L2 caliform conversion latency (xalancbmk, full 1-7B + CFORM)"}
 	for _, lat := range []int{0, 1, 2, 4} {
 		d := machine.Default()
 		d.Hier.SpillFillLatency = lat
-		r := Run(spec, RunConfig{Policy: PolicyFull, MinPad: 1, MaxPad: 7, UseCForm: true, Visits: visits, Machine: d})
+		r := run(spec, RunConfig{Policy: PolicyFull, MinPad: 1, MaxPad: 7, UseCForm: true, Visits: visits, Machine: d})
 		out.Rows = append(out.Rows, AblationRow{
 			Label:  fmt.Sprintf("+%d cycles", lat),
 			Cycles: r.Cycles,
@@ -72,14 +63,14 @@ func AblationSpillFill(visits int) AblationResult {
 // on free (§6.1 footnote: deallocated lines should not pollute the
 // L1). Uses the clean-before-use protocol where frees caliform whole
 // objects, making the effect visible.
-func AblationNonTemporalCForm(visits int) AblationResult {
+func AblationNonTemporalCForm(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
 	spec, _ := workload.ByName("perlbench")
 	out := AblationResult{Name: "non-temporal CFORM on free (perlbench, clean-before-use heap)"}
 	for _, nt := range []bool{false, true} {
 		heapCfg := alloc.DefaultConfig()
 		heapCfg.Protocol = alloc.ProtocolClean
 		heapCfg.NonTemporalFree = nt
-		r := Run(spec, RunConfig{Policy: PolicyOpportunistic, UseCForm: true, Visits: visits, Heap: &heapCfg})
+		r := run(spec, RunConfig{Policy: PolicyOpportunistic, UseCForm: true, Visits: visits, Heap: &heapCfg})
 		label := "temporal CFORM"
 		if nt {
 			label = "non-temporal CFORM"
@@ -97,14 +88,14 @@ func AblationNonTemporalCForm(visits int) AblationResult {
 // AblationQuarantine sweeps the quarantine budget: larger budgets
 // widen the temporal-safety window (freed memory stays blacklisted
 // longer) at the cost of heap growth.
-func AblationQuarantine(visits int) AblationResult {
+func AblationQuarantine(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
 	spec, _ := workload.ByName("perlbench")
 	out := AblationResult{Name: "quarantine budget (perlbench, clean-before-use heap)"}
 	for _, frac := range []float64{0, 0.25, 0.5} {
 		heapCfg := alloc.DefaultConfig()
 		heapCfg.Protocol = alloc.ProtocolClean
 		heapCfg.QuarantineFrac = frac
-		r := Run(spec, RunConfig{Policy: PolicyOpportunistic, UseCForm: true, Visits: visits, Heap: &heapCfg})
+		r := run(spec, RunConfig{Policy: PolicyOpportunistic, UseCForm: true, Visits: visits, Heap: &heapCfg})
 		out.Rows = append(out.Rows, AblationRow{
 			Label:  fmt.Sprintf("%.0f%% of heap", frac*100),
 			Cycles: r.Cycles,
@@ -119,14 +110,14 @@ func AblationQuarantine(visits int) AblationResult {
 // kernel vs a streaming one: the dependent-load serialization that
 // differentiates them is the mechanism behind the per-benchmark
 // spread of Figure 10.
-func AblationMLP(visits int) AblationResult {
+func AblationMLP(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
 	out := AblationResult{Name: "MSHR count (memory-level parallelism)"}
 	for _, name := range []string{"mcf", "libquantum"} {
 		spec, _ := workload.ByName(name)
 		for _, mshrs := range []int{1, 4, 10} {
 			d := machine.Default()
 			d.Core.MSHRs = mshrs
-			r := Run(spec, RunConfig{Policy: PolicyNone, Visits: visits, Machine: d})
+			r := run(spec, RunConfig{Policy: PolicyNone, Visits: visits, Machine: d})
 			out.Rows = append(out.Rows, AblationRow{
 				Label:  fmt.Sprintf("%s, %d MSHRs", name, mshrs),
 				Cycles: r.Cycles,
@@ -150,7 +141,7 @@ func AblationMLP(visits int) AblationResult {
 // period), while califorms-1B (+22%) and califorms-4B (+49%) push the
 // L1 to 5 and 6 cycles respectively. This is the system-level
 // argument for spending the extra metadata SRAM.
-func AblationL1Variant(visits int) AblationResult {
+func AblationL1Variant(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
 	spec, _ := workload.ByName("xalancbmk")
 	out := AblationResult{Name: "L1 metadata format (xalancbmk, full 1-7B + CFORM; Table 7 delays as cycles)"}
 	for _, v := range []struct {
@@ -163,7 +154,7 @@ func AblationL1Variant(visits int) AblationResult {
 	} {
 		d := machine.Default()
 		d.Hier.L1.Latency = v.latency
-		r := Run(spec, RunConfig{Policy: PolicyFull, MinPad: 1, MaxPad: 7, UseCForm: true, Visits: visits, Machine: d})
+		r := run(spec, RunConfig{Policy: PolicyFull, MinPad: 1, MaxPad: 7, UseCForm: true, Visits: visits, Machine: d})
 		out.Rows = append(out.Rows, AblationRow{
 			Label:  v.label,
 			Cycles: r.Cycles,
@@ -177,22 +168,15 @@ func AblationL1Variant(visits int) AblationResult {
 // AblationSweeps returns every registered sweep in report order; the
 // harness ablations experiment iterates this list, so a new sweep
 // added here shows up in `califorms-bench -exp ablations`
-// automatically.
-func AblationSweeps() []func(int) AblationResult {
-	return []func(int) AblationResult{
+// automatically. Each sweep executes its configuration points through
+// run: Run itself, or a caller's wrapper that serves repeat points
+// from a store.
+func AblationSweeps() []func(visits int, run func(workload.Spec, RunConfig) Result) AblationResult {
+	return []func(int, func(workload.Spec, RunConfig) Result) AblationResult{
 		AblationSpillFill,
 		AblationNonTemporalCForm,
 		AblationQuarantine,
 		AblationMLP,
 		AblationL1Variant,
 	}
-}
-
-// Ablations runs all sweeps.
-func Ablations(visits int) []AblationResult {
-	var out []AblationResult
-	for _, sweep := range AblationSweeps() {
-		out = append(out, sweep(visits))
-	}
-	return out
 }

@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAblationSpillFillMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationSpillFill(4000)
+	a := AblationSpillFill(4000, Run)
 	if len(a.Rows) != 4 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -30,7 +27,7 @@ func TestAblationNonTemporalReducesL1Pressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationNonTemporalCForm(6000)
+	a := AblationNonTemporalCForm(6000, Run)
 	if len(a.Rows) != 2 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -44,7 +41,7 @@ func TestAblationQuarantineRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationQuarantine(4000)
+	a := AblationQuarantine(4000, Run)
 	if len(a.Rows) != 3 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -59,7 +56,7 @@ func TestAblationMLPOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationMLP(4000)
+	a := AblationMLP(4000, Run)
 	if len(a.Rows) != 6 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -73,14 +70,5 @@ func TestAblationMLPOrdering(t *testing.T) {
 	}
 	if lqGain <= mcfGain {
 		t.Fatalf("streaming kernel must gain more from MLP: mcf %.2fx vs libquantum %.2fx", mcfGain, lqGain)
-	}
-}
-
-func TestAblationRender(t *testing.T) {
-	a := AblationResult{Name: "x", Rows: []AblationRow{{Label: "a", Cycles: 100}, {Label: "b", Cycles: 110}}}
-	finish(&a)
-	out := a.Render()
-	if !strings.Contains(out, "Ablation: x") || !strings.Contains(out, "10.0%") {
-		t.Fatalf("render: %q", out)
 	}
 }

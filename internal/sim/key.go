@@ -28,7 +28,6 @@ package sim
 
 import (
 	"encoding/json"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/machine"
@@ -101,42 +100,4 @@ func RunKey(spec workload.Spec, rc RunConfig) string {
 // removed, shared by every machine column that consumes the stream.
 func StreamKey(spec workload.Spec, rc RunConfig) string {
 	return normalizedKeyDoc(spec, rc).String()
-}
-
-// RunCache is the engine's pluggable result cache. internal/store's
-// *Store satisfies it; sim only defines the seam so the hot path
-// stays free of storage dependencies. Implementations must be safe
-// for concurrent use.
-type RunCache interface {
-	// GetRun returns the cached Result of the given RunKey.
-	GetRun(key string) (Result, bool)
-	// PutRun stores a finished Result under its RunKey (best-effort:
-	// failures are invisible to the engine).
-	PutRun(key string, r Result)
-}
-
-// runCache is the installed cache; nil runs everything. Guarded by
-// runCacheMu: installation happens at process or test setup, never on
-// the hot path, where a single load is all that remains.
-var (
-	runCacheMu sync.RWMutex
-	runCache   RunCache
-)
-
-// SetRunCache installs (or, with nil, removes) the global run cache
-// consulted by Run. Direct runs are the only entry point that checks
-// it itself: the harness's store-aware scheduler manages scripted and
-// fanned-out cells explicitly, with recording reuse the plain cache
-// interface cannot express.
-func SetRunCache(c RunCache) {
-	runCacheMu.Lock()
-	runCache = c
-	runCacheMu.Unlock()
-}
-
-func getRunCache() RunCache {
-	runCacheMu.RLock()
-	c := runCache
-	runCacheMu.RUnlock()
-	return c
 }

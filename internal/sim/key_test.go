@@ -63,38 +63,3 @@ func TestStreamKeyIsMachineFree(t *testing.T) {
 		t.Errorf("key is not the documented canonical JSON: %s", RunKey(spec, rc))
 	}
 }
-
-// mapCache is a minimal in-memory RunCache.
-type mapCache struct{ m map[string]Result }
-
-func (c *mapCache) GetRun(key string) (Result, bool) { r, ok := c.m[key]; return r, ok }
-func (c *mapCache) PutRun(key string, r Result)      { c.m[key] = r }
-
-func TestRunConsultsCache(t *testing.T) {
-	spec := keySpec(t)
-	rc := RunConfig{Policy: PolicyFull, MinPad: 1, MaxPad: 7, Visits: 300}
-	cold := Run(spec, rc) // no cache installed
-
-	c := &mapCache{m: make(map[string]Result)}
-	SetRunCache(c)
-	defer SetRunCache(nil)
-
-	before := GenerationPasses()
-	first := Run(spec, rc)
-	if GenerationPasses() != before+1 {
-		t.Fatal("cold cached run did not perform exactly one generation pass")
-	}
-	if first != cold {
-		t.Fatal("cached engine diverged from uncached result")
-	}
-	second := Run(spec, rc)
-	if GenerationPasses() != before+1 {
-		t.Error("warm run performed a generation pass")
-	}
-	if second != first {
-		t.Error("warm result differs from cold")
-	}
-	if len(c.m) != 1 {
-		t.Errorf("cache holds %d entries, want 1", len(c.m))
-	}
-}

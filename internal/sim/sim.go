@@ -188,27 +188,11 @@ func (m rig) result(name string, heapBytes uint64) Result {
 }
 
 // Run executes one workload under one configuration on a fresh
-// machine and returns its metrics. Runs are deterministic — which is
-// what lets an installed RunCache (the content-addressed store) serve
-// a repeat run as a lookup: a cache hit performs no simulation and no
-// generation pass. Callers that orchestrate their own caching (the
-// harness's store-aware scheduler) bypass this seam by calling
-// RunScripted/RunFanout directly.
+// machine and returns its metrics. Runs are deterministic, which is
+// what lets a store serve a repeat run as a lookup under its RunKey;
+// serving from a store is the caller's business (the harness's Pool
+// does it for the direct runs its sweeps make).
 func Run(spec workload.Spec, rc RunConfig) Result {
-	c := getRunCache()
-	if c == nil {
-		return runUncached(spec, rc)
-	}
-	key := RunKey(spec, rc)
-	if r, ok := c.GetRun(key); ok {
-		return r
-	}
-	r := runUncached(spec, rc)
-	c.PutRun(key, r)
-	return r
-}
-
-func runUncached(spec workload.Spec, rc RunConfig) Result {
 	genPasses.Add(1)
 	t := probeStart()
 	m := buildMachine(rc)

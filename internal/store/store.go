@@ -348,9 +348,9 @@ func decodeEntry(data []byte, key string) ([]byte, bool) {
 
 // ---- typed helpers ----
 
-// GetRun returns a cached simulation result. The method set
-// (GetRun/PutRun) satisfies sim.RunCache, so an open Store can be
-// installed directly as the engine's run cache.
+// GetRun returns a cached simulation result. With the recording and
+// mix helpers below, the method set satisfies harness.Store, so an
+// open Store can be installed directly as a sweep pool's store.
 func (s *Store) GetRun(key string) (sim.Result, bool) {
 	var r sim.Result
 	if !s.getJSON(KindRun, key, &r) {

@@ -11,6 +11,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // codecMagic guards the payload format; bump it when the column
@@ -75,6 +76,11 @@ func (r *Recording) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("trace: recording payload length %d, want %d", len(p), n+8*n+n+16*nc)
 	}
 	r.Reset()
+	// Size the word columns up front: grown op by op, a decode
+	// allocates several times its final size in garbage.
+	r.args = slices.Grow(r.args, n)
+	r.attrs = slices.Grow(r.attrs, nc)
+	r.masks = slices.Grow(r.masks, nc)
 	r.tags = append(r.tags, p[:n]...)
 	p = p[n:]
 	cforms := 0
