@@ -1,7 +1,8 @@
 // Package harness is the declarative experiment registry and parallel
-// sweep engine behind the repo's three reproduction entry points
-// (cmd/califorms-bench, cmd/califorms-sim and the root bench_test.go
-// smoke benchmarks).
+// sweep engine behind every entry point in the repo: cmd/califorms-bench,
+// cmd/califorms-sim, the sweep service (internal/server behind
+// cmd/califorms-server), the perfbench benchmark and the root
+// bench_test.go smoke benchmarks.
 //
 // Each table and figure of the paper's evaluation is a registered
 // Experiment. An experiment expands its configuration matrix

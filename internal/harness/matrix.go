@@ -2,13 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -128,15 +125,6 @@ type MatrixResult struct {
 	Runs [][][][]sim.Result
 }
 
-// visits returns the effective per-unit visit count, mirroring
-// sim.Run's default so scripts are captured for the same region.
-func (m Matrix) visits() int {
-	if m.Visits > 0 {
-		return m.Visits
-	}
-	return 100_000
-}
-
 // traceKey is the full determinant set of a cell's op stream: the op
 // sequence a cell's kernel and allocator emit is a pure function of
 // the benchmark, the instrumented layouts (policy, pad bounds, layout
@@ -230,12 +218,10 @@ func (m Matrix) groups(cells []Cell) []*matrixGroup {
 // Run executes the matrix in three separable stages. Enumeration
 // (Cells) expands the declarative matrix into run units in canonical
 // order. Scheduling (schedule) partitions the units into op-stream
-// groups and plans each group against the pool's store: results
-// already stored are emitted without running anything, groups whose
-// stream is stored replay it per missing machine, and only genuinely
-// new streams pay a generation pass — captured once and multicast to
-// every sibling cell (sim.RunFanout), with the recording and every
-// result persisted for the next sweep. Emission folds results into
+// groups and serves each through a stream handle, which emits stored
+// results, replays a stored stream onto the missing machines, and pays
+// a generation pass only for a genuinely new stream — captured once
+// and multicast to every sibling cell. Emission folds results into
 // coordinate-addressed slots. Group tasks run on the pool's
 // work-stealing deques; output is bit-identical to independent
 // per-cell runs at any worker count, warm or cold.
@@ -258,139 +244,33 @@ func (m Matrix) cellName(cell Cell) string {
 }
 
 // schedule turns the enumerated cells into pool tasks, one per
-// op-stream group, each planned against the pool's store (nil: always
-// run). Failed cells land on the pool; the group's healthy cells still
-// emit.
+// op-stream group, each served through its own stream handle against
+// the pool's store (nil: always run). Failed cells land on the pool;
+// the group's healthy cells still emit.
 func (m Matrix) schedule(pool *Pool, cells []Cell, emit func(Cell, sim.Result)) []Task {
-	// One decision script per benchmark, captured on first use and
-	// shared read-only by every cell of that benchmark. Fully warm
-	// groups never force the capture.
-	scripts := make([]*workload.Script, len(m.Benches))
-	once := make([]sync.Once, len(m.Benches))
-	script := func(b int) *workload.Script {
-		once[b].Do(func() { scripts[b] = sim.CaptureScript(m.Benches[b], m.visits()) })
-		return scripts[b]
-	}
+	script := scripts(m.Benches, m.Visits)
 	groups := m.groups(cells)
 	tasks := make([]Task, len(groups))
 	for gi, g := range groups {
-		g := g
-		tasks[gi] = func(func(Task)) { m.runGroup(pool, cells, g, script, emit) }
-	}
-	return tasks
-}
-
-// runGroup executes one op-stream group through the store tiers:
-// result hits emit directly, a stored recording replays onto the
-// missing machines, and only a full miss captures the stream — once,
-// multicast to every missing sibling, then persisted. Each tier's
-// execution is panic-isolated: a replay failure costs one cell, a
-// capture failure costs the group's missing cells (the generation pass
-// is shared), and either way the rest of the sweep completes.
-func (m Matrix) runGroup(pool *Pool, cells []Cell, g *matrixGroup, script func(int) *workload.Script, emit func(Cell, sim.Result)) {
-	st := pool.store
-	first := cells[g.cells[0]]
-	spec := m.Benches[first.Bench]
-	rcs := make([]sim.RunConfig, len(g.cells))
-	for i, ci := range g.cells {
-		rcs[i] = m.Config(cells[ci])
-	}
-
-	// Tier 1: finished results. missing collects the group-local
-	// indexes the store could not serve.
-	missing := make([]int, 0, len(g.cells))
-	var keys []string
-	if st != nil {
-		keys = make([]string, len(g.cells))
-		for i, ci := range g.cells {
-			keys[i] = sim.RunKey(spec, rcs[i])
-			if r, ok := st.GetRun(keys[i]); ok {
-				emit(cells[ci], r)
-				pool.cellDone()
-			} else {
-				missing = append(missing, i)
+		tasks[gi] = func(func(Task)) {
+			b := cells[g.cells[0]].Bench
+			rcs := make([]sim.RunConfig, len(g.cells))
+			for i, ci := range g.cells {
+				rcs[i] = m.Config(cells[ci])
 			}
-		}
-		if len(missing) == 0 {
-			return
-		}
-	} else {
-		for i := range g.cells {
-			missing = append(missing, i)
-		}
-	}
-
-	// Tier 2: a stored op stream replays onto each missing machine —
-	// no kernel, no allocator, no generation pass. Every cell of the
-	// group shares the stream key (that is what the trace key vouches
-	// for).
-	streamKey := ""
-	if st != nil {
-		streamKey = sim.StreamKey(spec, rcs[0])
-		if rec, ok := st.GetRecording(streamKey); ok {
-			for _, i := range missing {
-				i := i
-				if rp := runRecovered(func() {
-					faultinject.CheckPanic("cell.panic")
-					faultinject.Delay("cell.delay")
-					r := sim.RunReplayed(spec.Name, rcs[i], rec)
-					st.PutRun(keys[i], r)
-					emit(cells[g.cells[i]], r)
-				}); rp != nil {
-					pool.fail(m.cellName(cells[g.cells[i]]), "replay", rp)
+			s := &stream{pool: pool, spec: m.Benches[b], capture: rcs[0], script: script[b]}
+			s.run(rcs, func(i int, r sim.Result, stage string, rp *recoveredPanic) {
+				cell := cells[g.cells[i]]
+				if rp != nil {
+					pool.fail(m.cellName(cell), stage, rp)
+				} else {
+					emit(cell, r)
 				}
 				pool.cellDone()
-			}
-			return
+			})
 		}
 	}
-
-	// Tier 3: capture. One generation pass feeds every missing sibling
-	// machine (kernel, allocator and batch construction run once; each
-	// flushed batch is multicast to all cores), teeing the stream into
-	// a recording when a store wants it.
-	rp := runRecovered(func() {
-		faultinject.CheckPanic("cell.panic")
-		faultinject.Delay("cell.delay")
-		var rec *trace.Recording
-		if st != nil {
-			rec = trace.NewRecording(0)
-		}
-		sc := script(first.Bench)
-		pool.genPasses.Add(1)
-		var results []sim.Result
-		if len(missing) == 1 {
-			results = []sim.Result{sim.RunScripted(spec, rcs[missing[0]], sc, rec)}
-		} else {
-			sub := make([]sim.RunConfig, len(missing))
-			for j, i := range missing {
-				sub[j] = rcs[i]
-			}
-			results = sim.RunFanout(spec, sub, sc, rec)
-		}
-		if st != nil {
-			st.PutRecording(streamKey, rec)
-		}
-		for j, i := range missing {
-			if st != nil {
-				st.PutRun(keys[i], results[j])
-			}
-			emit(cells[g.cells[i]], results[j])
-			pool.cellDone()
-		}
-	})
-	if rp != nil {
-		// The generation pass is shared: a capture panic abandons every
-		// cell still missing from this group — and releases any
-		// in-flight claim the store's singleflight layer registered for
-		// the stream, so a concurrent sweep waiting on this capture can
-		// claim it instead of waiting forever.
-		abortStream(st, streamKey)
-		for _, i := range missing {
-			pool.fail(m.cellName(cells[g.cells[i]]), "capture", rp)
-			pool.cellDone()
-		}
-	}
+	return tasks
 }
 
 // SlowdownAt returns benchmark b's slowdown under config c on

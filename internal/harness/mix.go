@@ -3,16 +3,17 @@ package harness
 // This file is the multiprogrammed-mix layer over internal/multicore:
 // the Mix experiment kind expands {benchmark tuples} × {protected
 // configuration} × {core counts} × {seed replicas} through the same
-// capture pipeline the single-core Matrix uses — one decision script
-// per benchmark, one recording per distinct op stream (the mix
-// analogue of the trace key: benchmark × config variant × layout
-// seed, with the baseline normalized to seed 0 exactly as
-// Matrix.traceKey does) — and replays the recordings onto shared-L3
-// machines. Stage one captures every unique stream and its solo
-// result; stage two fans the recordings out across the mix machines.
-// Both stages shard over the worker Pool into index-addressed slots,
-// so mix output is byte-identical at any worker count, and a one-core
-// mix reproduces the single-core engine's results bit for bit.
+// stream handles the single-core Matrix uses — one decision script
+// per benchmark, one handle per distinct op stream (the mix analogue
+// of the trace key: benchmark × config variant × layout seed, with
+// the baseline normalized to seed 0 exactly as Matrix.traceKey does)
+// — and replays the recordings onto shared-L3 machines. Stage one
+// takes every stream's solo result; stage two fans the recordings out
+// across the mix machines, loading or capturing each only when a unit
+// result is missing. Both stages shard over the worker Pool into
+// index-addressed slots, so mix output is byte-identical at any
+// worker count, and a one-core mix reproduces the single-core
+// engine's results bit for bit.
 //
 // The mix experiments themselves (mix2, mix4, rate4, rate8) are
 // registered by the init below, which runs after experiments.go's by
@@ -22,14 +23,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/multicore"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -71,18 +70,17 @@ func (mx Mix) seeds() int {
 	return mx.Seeds
 }
 
-// baseConfig and protConfig mirror Matrix.Config's cell
-// materialization: the baseline is policy-free and seed-normalized
-// (its layouts ignore pads and seeds), the protected replica k shifts
-// the layout seed by k*layoutSeedStride.
-func (mx Mix) baseConfig() sim.RunConfig {
-	return sim.RunConfig{Policy: sim.PolicyNone, Visits: mx.Visits, Machine: mx.Config.Machine}
-}
-
-func (mx Mix) protConfig(seed int) sim.RunConfig {
+// variantConfig is variant v's configuration, mirroring Matrix.Config's
+// cell materialization: the baseline (v == 0) is policy-free and
+// seed-normalized (its layouts ignore pads and seeds), and protected
+// replica k = v-1 shifts the layout seed by k*layoutSeedStride.
+func (mx Mix) variantConfig(v int) sim.RunConfig {
+	if v == 0 {
+		return sim.RunConfig{Policy: sim.PolicyNone, Visits: mx.Visits, Machine: mx.Config.Machine}
+	}
 	rc := mx.Config
 	rc.Visits = mx.Visits
-	rc.LayoutSeed += int64(seed) * layoutSeedStride
+	rc.LayoutSeed += int64(v-1) * layoutSeedStride
 	return rc
 }
 
@@ -107,24 +105,25 @@ func (mx Mix) benches() ([]workload.Spec, map[string]int) {
 type MixResult struct {
 	Mix     Mix
 	Benches []workload.Spec
-	// SoloBase[b] / SoloProt[b][s] are the capture runs' single-core
+	// SoloBase[b] / SoloProt[b][s] are the streams' single-core
 	// results — identical to sim.Run of the same cell.
 	SoloBase []sim.Result
 	SoloProt [][]sim.Result
 	// MixBase[t][ci] / MixProt[t][ci][s] are the multicore runs: per-
 	// core results plus the shared-L3 view. The slots of failed units
-	// (see Pool.FailedCells) hold zero results; a failed solo capture
-	// also fails the mix units that needed its recording.
+	// (see Pool.FailedCells) hold zero results; a failed capture also
+	// fails the mix units that needed its recording.
 	MixBase [][]multicore.RunResult
 	MixProt [][][]multicore.RunResult
 
 	benchIdx map[string]int
 }
 
-// Run executes the mix sweep on the pool: stage one captures each
-// unique op stream once (solo result + recording), stage two replays
-// the recordings across every (tuple, core count, variant, seed)
-// machine. Results are deterministic at any worker count.
+// Run executes the mix sweep on the pool through one stream handle
+// per unique op stream: stage one takes each stream's solo result from
+// its handle, stage two replays the handles' recordings across every
+// (tuple, core count, variant, seed) machine. Results are
+// deterministic at any worker count.
 func (mx Mix) Run(pool *Pool) MixResult {
 	if len(mx.Cores) == 0 {
 		// No explicit width axis: run the machine at its own nominal
@@ -143,11 +142,8 @@ func (mx Mix) Run(pool *Pool) MixResult {
 		MixBase:  make([][]multicore.RunResult, len(mx.Tuples)),
 		MixProt:  make([][][]multicore.RunResult, len(mx.Tuples)),
 	}
-	recBase := make([]*trace.Recording, len(benches))
-	recProt := make([][]*trace.Recording, len(benches))
 	for b := range benches {
 		res.SoloProt[b] = make([]sim.Result, seeds)
-		recProt[b] = make([]*trace.Recording, seeds)
 	}
 	for t := range mx.Tuples {
 		res.MixBase[t] = make([]multicore.RunResult, len(mx.Cores))
@@ -157,71 +153,31 @@ func (mx Mix) Run(pool *Pool) MixResult {
 		}
 	}
 
-	// Stage one: one decision script per benchmark (shared, captured on
-	// first use), one recording + solo result per unique stream. The
-	// store serves both tiers here: a stored solo result skips the run,
-	// a stored recording skips the generation pass (replaying it when
-	// the solo result is missing); only a full miss captures — a warm
-	// mix sweep performs zero generation passes.
-	st := pool.store
-	scripts := make([]*workload.Script, len(benches))
-	once := make([]sync.Once, len(benches))
-	script := func(b int) *workload.Script {
-		once[b].Do(func() { scripts[b] = sim.CaptureScript(benches[b], mx.Visits) })
-		return scripts[b]
-	}
+	// One handle per (benchmark, variant) stream, kept for stage two.
 	variants := 1 + seeds // baseline + protected replicas
-	solo := func(b, v int) (sim.Result, *trace.Recording) {
-		rc := mx.baseConfig()
-		if v > 0 {
-			rc = mx.protConfig(v - 1)
-		}
-		runKey, streamKey := sim.RunKey(benches[b], rc), sim.StreamKey(benches[b], rc)
-		if st != nil {
-			if rec, ok := st.GetRecording(streamKey); ok {
-				if r, ok := st.GetRun(runKey); ok {
-					return r, rec
-				}
-				r := sim.RunReplayed(benches[b].Name, rc, rec)
-				st.PutRun(runKey, r)
-				return r, rec
-			}
-		}
-		rec := trace.NewRecording(0)
-		sc := script(b)
-		pool.genPasses.Add(1)
-		r := sim.RunScripted(benches[b], rc, sc, rec)
-		if st != nil {
-			st.PutRecording(streamKey, rec)
-			st.PutRun(runKey, r)
-		}
-		return r, rec
-	}
-	pool.Map(len(benches)*variants, func(u int) {
+	script := scripts(benches, mx.Visits)
+	streams := make([]*stream, len(benches)*variants)
+	for u := range streams {
 		b, v := u/variants, u%variants
-		if rp := runRecovered(func() {
-			faultinject.CheckPanic("cell.panic")
-			faultinject.Delay("cell.delay")
-			r, rec := solo(b, v)
-			if v == 0 {
+		streams[u] = &stream{pool: pool, spec: benches[b], capture: mx.variantConfig(v), script: script[b], keep: true}
+	}
+
+	// Stage one: the solo results. A stored result loads nothing, so a
+	// warm mix sweep reads no recordings and performs no generation
+	// passes.
+	pool.Map(len(streams), func(u int) {
+		b, v := u/variants, u%variants
+		s := streams[u]
+		s.run([]sim.RunConfig{s.capture}, func(_ int, r sim.Result, stage string, rp *recoveredPanic) {
+			switch {
+			case rp != nil:
+				pool.fail(fmt.Sprintf("solo/%s/%s", benches[b].Name, variantName(v)), stage, rp)
+			case v == 0:
 				res.SoloBase[b] = r
-				recBase[b] = rec
-			} else {
+			default:
 				res.SoloProt[b][v-1] = r
-				recProt[b][v-1] = rec
 			}
-		}); rp != nil {
-			// Release any in-flight singleflight claim this unit's
-			// capture registered for its stream (the key is a pure
-			// function of the unit's coordinates, so it is recomputable
-			// here even though solo never returned).
-			rc := mx.baseConfig()
-			if v > 0 {
-				rc = mx.protConfig(v - 1)
-			}
-			abortStream(st, sim.StreamKey(benches[b], rc))
-			pool.fail(fmt.Sprintf("solo/%s/%s", benches[b].Name, variantName(v)), "capture", rp)
-		}
+		})
 	})
 
 	// Stage two: replay the recordings across the mix machines.
@@ -229,8 +185,9 @@ func (mx Mix) Run(pool *Pool) MixResult {
 	// its own cursors), so units share them freely across workers.
 	// Each unit result is itself store-cacheable: a mix run is a pure
 	// function of the slot streams and the shared machine (unitKey), so
-	// a warm stage two is a pure lookup as well.
+	// a unit whose result is stored asks its handles for nothing.
 	cfg := multicore.Config{Machine: mx.Config.Machine, Quantum: mx.Quantum}
+	st := pool.store
 	per := len(mx.Cores) * variants
 	pool.Map(len(mx.Tuples)*per, func(u int) {
 		t, r := u/per, u%per
@@ -248,21 +205,18 @@ func (mx Mix) Run(pool *Pool) MixResult {
 					return
 				}
 			}
-			streams := make([]multicore.Stream, mx.Cores[ci])
-			for slot := range streams {
-				b := benchIdx[tuple.bench(slot).Name]
-				rec := recBase[b]
-				if v > 0 {
-					rec = recProt[b][v-1]
-				}
+			slots := make([]multicore.Stream, mx.Cores[ci])
+			for slot := range slots {
+				name := tuple.bench(slot).Name
+				rec, _ := streams[benchIdx[name]*variants+v].acquire(nil)
 				if rec == nil {
-					// The solo capture this unit depends on failed; fail
-					// the unit explicitly instead of panicking in replay.
-					panic(fmt.Errorf("missing recording for %s (solo capture failed)", tuple.bench(slot).Name))
+					// The capture this unit depends on failed; fail the
+					// unit explicitly instead of panicking in replay.
+					panic(fmt.Errorf("missing recording for %s (solo capture failed)", name))
 				}
-				streams[slot] = multicore.Stream{Name: tuple.bench(slot).Name, Rec: rec}
+				slots[slot] = multicore.Stream{Name: name, Rec: rec}
 			}
-			rr = multicore.Run(cfg, streams)
+			rr = multicore.Run(cfg, slots)
 			if st != nil {
 				st.PutMix(key, rr)
 			}
@@ -299,10 +253,7 @@ func emitMix(res *MixResult, t, ci, v int, rr multicore.RunResult) {
 // configurations rather than literally, so equal-content units share
 // one entry.
 func (mx Mix) unitKey(tuple MixTuple, cores, v int) string {
-	rc := mx.baseConfig()
-	if v > 0 {
-		rc = mx.protConfig(v - 1)
-	}
+	rc := mx.variantConfig(v)
 	doc := struct {
 		Streams []string     `json:"streams"`
 		Machine machine.Desc `json:"machine"`

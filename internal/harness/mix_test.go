@@ -35,7 +35,7 @@ func TestMixSingleCoreMatchesSingleCoreEngine(t *testing.T) {
 		r := mx.Run(NewPool(4))
 		spec, _ := workload.ByName(bench)
 
-		wantBase := sim.Run(spec, mx.baseConfig())
+		wantBase := sim.Run(spec, mx.variantConfig(0))
 		if r.SoloBase[0] != wantBase {
 			t.Errorf("%s: solo baseline diverges from sim.Run\ngot:  %+v\nwant: %+v", bench, r.SoloBase[0], wantBase)
 		}
@@ -43,7 +43,7 @@ func TestMixSingleCoreMatchesSingleCoreEngine(t *testing.T) {
 			t.Errorf("%s: one-core baseline mix diverges from sim.Run\ngot:  %+v\nwant: %+v", bench, got, wantBase)
 		}
 		for s := 0; s < seeds; s++ {
-			wantProt := sim.Run(spec, mx.protConfig(s))
+			wantProt := sim.Run(spec, mx.variantConfig(s+1))
 			if r.SoloProt[0][s] != wantProt {
 				t.Errorf("%s seed %d: solo protected diverges from sim.Run", bench, s)
 			}
@@ -51,6 +51,18 @@ func TestMixSingleCoreMatchesSingleCoreEngine(t *testing.T) {
 				t.Errorf("%s seed %d: one-core protected mix diverges from sim.Run\ngot:  %+v\nwant: %+v", bench, s, got, wantProt)
 			}
 		}
+	}
+}
+
+// TestMixZeroVisitsMatchesRun: a Mix that leaves Visits zero simulates
+// sim.Run's default region — the one its store keys name — so its solo
+// result equals sim.Run of the same configuration.
+func TestMixZeroVisitsMatchesRun(t *testing.T) {
+	mx := Mix{Tuples: []MixTuple{mixTuple("sjeng")}, Config: mixProtConfig(), Cores: []int{1}}
+	r := mx.Run(NewPool(2))
+	spec, _ := workload.ByName("sjeng")
+	if want := sim.Run(spec, mx.variantConfig(0)); r.SoloBase[0] != want {
+		t.Errorf("zero-visit solo baseline diverges from sim.Run\ngot:  %+v\nwant: %+v", r.SoloBase[0], want)
 	}
 }
 

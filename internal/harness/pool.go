@@ -44,8 +44,8 @@ type Pool struct {
 	store Store
 
 	// genPasses counts the workload generation passes this pool's
-	// sweeps ran: Matrix captures, Mix stage-one captures and direct
-	// runs the store could not serve.
+	// sweeps ran: stream-handle captures and direct runs the store could
+	// not serve.
 	genPasses atomic.Uint64
 
 	// Progress accounting: total counts every scheduled sweep cell

@@ -1,23 +1,8 @@
 package harness
 
 // The harness's view of the content-addressed result store
-// (internal/store). The scheduler layers three reuse tiers over every
-// sweep, cheapest first:
-//
-//   tier 1 — result hit: the cell's finished sim.Result is in the
-//            store; emit it, run nothing.
-//   tier 2 — stream hit: the cell's op-stream recording is in the
-//            store; replay it onto the cell's machine
-//            (sim.RunReplayed), skipping the kernel and allocator.
-//   tier 3 — miss: capture the stream once (recording the multicast),
-//            persist recording and results, and fan the fresh stream
-//            out to every sibling cell that also missed.
-//
-// A repeat sweep is pure tier 1; an incremental sweep (one new
-// machine, one new policy column) pays generation passes only for the
-// genuinely new streams. The tiers preserve the engine's determinism
-// contract: every stored artifact is a pure function of its key, so a
-// warm sweep emits byte-identical output to a cold one.
+// (internal/store). The stream handle (stream.go) layers it into the
+// sweep engine's three reuse tiers.
 
 import (
 	"repro/internal/sim"

@@ -1,0 +1,161 @@
+package harness
+
+import (
+	"sync"
+
+	"repro/internal/faultinject"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// stream is the sweep engine's one tier scheduler: the handle through
+// which every Matrix group, Mix solo run and Mix unit obtains one op
+// stream's results and recording. It layers the pool's store into
+// three reuse tiers, cheapest first:
+//
+//	tier 1 — result hit: a cell's finished sim.Result is in the store;
+//	         emit it, run nothing.
+//	tier 2 — stream hit: the stream's recording is in the store;
+//	         replay it onto each missing cell's machine
+//	         (sim.RunReplayed), skipping the kernel and allocator.
+//	tier 3 — miss: capture the stream once, multicast to every cell
+//	         that missed (sim.RunFanout), and persist the recording and
+//	         the results.
+//
+// The recording is loaded or captured at most once per handle, on
+// first demand, so a repeat sweep is pure tier 1 and reads no
+// recordings, and an incremental sweep (one new machine, one new
+// policy column) pays generation passes only for the genuinely new
+// streams. Every stored artifact is a pure function of its key, so a
+// warm sweep emits byte-identical output to a cold one.
+//
+// A GetRecording miss is a claim on the stream (see StreamAborter):
+// the handle settles it with PutRecording once its capture finishes,
+// or with AbortStream when the capture panics. A failed capture is not
+// retried; every cell waiting on it fails.
+type stream struct {
+	pool *Pool
+	spec workload.Spec
+	// capture keys the stream (sim.StreamKey), and is the
+	// configuration it is captured under when no cell asks for a result.
+	capture sim.RunConfig
+	script  func() *workload.Script
+	// keep tees a recording even without a store and holds the capture
+	// for the Mix units. A Matrix handle drops its capture once it is
+	// stored, and a loaded recording along with its group's task.
+	keep bool
+
+	once sync.Once
+	rec  *trace.Recording
+	fail *recoveredPanic // the capture's panic
+}
+
+// run serves the cells rcs — configurations sharing the stream —
+// through the tiers, calling done once per cell with its result, or
+// with the stage ("replay" or "capture") and panic that failed it. A
+// replay panic fails one cell; a capture panic fails every cell the
+// pass was for.
+func (s *stream) run(rcs []sim.RunConfig, done func(i int, r sim.Result, stage string, rp *recoveredPanic)) {
+	st := s.pool.store
+	keys := make([]string, len(rcs))
+	var missing []int
+	var sub []sim.RunConfig
+	for i, rc := range rcs {
+		if st != nil {
+			keys[i] = sim.RunKey(s.spec, rc)
+			if r, ok := st.GetRun(keys[i]); ok {
+				done(i, r, "", nil)
+				continue
+			}
+		}
+		missing = append(missing, i)
+		sub = append(sub, rc)
+	}
+	if len(missing) == 0 {
+		return
+	}
+	rec, results := s.acquire(sub)
+	for j, i := range missing {
+		var r sim.Result
+		var stage string
+		var rp *recoveredPanic
+		switch {
+		case results != nil:
+			r = results[j]
+		case s.fail != nil:
+			stage, rp = "capture", s.fail
+		default:
+			stage = "replay"
+			rp = runRecovered(func() {
+				faultinject.CheckPanic("cell.panic")
+				faultinject.Delay("cell.delay")
+				r = sim.RunReplayed(s.spec.Name, rcs[i], rec)
+			})
+		}
+		if rp == nil && st != nil {
+			st.PutRun(keys[i], r)
+		}
+		done(i, r, stage, rp)
+	}
+}
+
+// acquire is the load-or-capture step, run at most once per handle. It
+// returns the stored recording when there is one, else the recording
+// of one generation pass fanned out to rcs (run under s.capture when
+// rcs is empty, as a Mix unit asks) — nil if that capture failed. The
+// call that captured also gets rcs' results; every other call gets nil.
+func (s *stream) acquire(rcs []sim.RunConfig) (*trace.Recording, []sim.Result) {
+	var results []sim.Result
+	s.once.Do(func() {
+		st, key := s.pool.store, ""
+		if st != nil {
+			key = sim.StreamKey(s.spec, s.capture)
+			if rec, ok := st.GetRecording(key); ok {
+				s.rec = rec
+				return
+			}
+		}
+		s.fail = runRecovered(func() {
+			faultinject.CheckPanic("cell.panic")
+			faultinject.Delay("cell.delay")
+			var rec *trace.Recording
+			if st != nil || s.keep {
+				rec = trace.NewRecording(0)
+			}
+			sc := s.script()
+			s.pool.genPasses.Add(1)
+			switch len(rcs) {
+			case 0:
+				sim.RunScripted(s.spec, s.capture, sc, rec)
+			case 1:
+				results = []sim.Result{sim.RunScripted(s.spec, rcs[0], sc, rec)}
+			default:
+				results = sim.RunFanout(s.spec, rcs, sc, rec)
+			}
+			if st != nil {
+				st.PutRecording(key, rec)
+			}
+			if s.keep {
+				s.rec = rec
+			}
+		})
+		if s.fail != nil {
+			results = nil
+			abortStream(st, key)
+		}
+	})
+	return s.rec, results
+}
+
+// scripts returns a sweep's per-benchmark decision-script getters: each
+// benchmark's script (workload.Script) is captured on first use and
+// shared read-only by every stream of that benchmark, so a fully warm
+// sweep never captures one.
+func scripts(benches []workload.Spec, visits int) []func() *workload.Script {
+	get := make([]func() *workload.Script, len(benches))
+	for b, spec := range benches {
+		get[b] = sync.OnceValue(func() *workload.Script { return sim.CaptureScript(spec, visits) })
+	}
+	return get
+}

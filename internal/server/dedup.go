@@ -13,9 +13,12 @@ import (
 // dedupStore adds an in-flight singleflight keyed on sim.StreamKey.
 //
 // The harness's capture protocol makes a GetRecording miss a claim:
-// the scheduler that misses becomes the stream's capturer and is
+// the stream handle that misses becomes the stream's capturer and is
 // guaranteed to end the capture with either PutRecording (success) or
-// AbortStream (the capture panicked — see harness.StreamAborter).
+// AbortStream (the capture panicked — see harness.StreamAborter). That
+// includes a mix unit whose stream's solo result was stored but whose
+// recording is gone: the unit's miss is a claim like any other, and
+// the unit captures the stream.
 // dedupStore turns that protocol into cross-job dedup: the first job
 // to miss registers a flight and captures; any concurrent job asking
 // for the same stream blocks on the flight instead of claiming its own
@@ -27,8 +30,8 @@ import (
 //
 // Waiting blocks one worker goroutine of the waiting job's pool, never
 // the capturing pool: stream keys are unique within a job's sweep (one
-// scheduler group or mix unit per key), so a job can only wait on
-// another job's capture.
+// stream handle per key), so a job can only wait on another job's
+// capture.
 type dedupStore struct {
 	st harness.Store // the shared on-disk store
 

@@ -9,10 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // JobState is one node of the job state machine:
@@ -120,8 +123,10 @@ func (j *Job) setJournaled(n uint64) {
 //
 // Each job persists as <data>/jobs/<id>.json (atomic rename), its
 // rendered artifact as <id>.out, and its journal as
-// <data>/journals/<id>.journal. The .json is rewritten on every state
-// transition, so a restart reconstructs the queue exactly.
+// <data>/journals/<id>.journal. The .json is written on submission and
+// rewritten when the job ends (done, failed, canceled, or queued again
+// by a drain), so a restart reconstructs the queue exactly: a job that
+// was running still reads queued and is requeued.
 
 func (s *Server) jobPath(id string) string      { return filepath.Join(s.dir, "jobs", id+".json") }
 func (s *Server) artifactPath(id string) string { return filepath.Join(s.dir, "jobs", id+".out") }
@@ -145,7 +150,8 @@ func (s *Server) persist(j *Job) {
 
 // loadJobs reconstructs persisted jobs at startup, returning them in
 // ID order (the submission order — IDs are a zero-padded sequence).
-// Interrupted running jobs come back queued; their journals hold the
+// Records that read running (older builds persisted the state) come
+// back queued; a requeued job's journal, if it has one, holds the
 // completed prefix.
 func (s *Server) loadJobs() ([]*Job, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
@@ -196,3 +202,46 @@ func (s *Server) seedJobSeq(jobs []*Job) {
 	}
 	s.seq.Store(max)
 }
+
+// jobStore is a running job's store: the shared store until the job's
+// first put, which creates the job's sweep journal, and the journal
+// from then on. Before that put the job has completed nothing the
+// shared store does not already serve, so a journal would hold nothing
+// to resume, and a restart that finds none starts the sweep fresh with
+// the same result. A warm job puts nothing and so writes no journal.
+type jobStore struct {
+	// The shared store serves reads before the first put, and
+	// AbortStream always.
+	*dedupStore
+	open func() *harness.SweepJournal // nil if it cannot be created
+	once sync.Once
+	sj   atomic.Pointer[harness.SweepJournal]
+}
+
+func (js *jobStore) cur() harness.Store {
+	if sj := js.sj.Load(); sj != nil {
+		return sj
+	}
+	return js.dedupStore
+}
+
+// put opens the journal on the job's first put.
+func (js *jobStore) put() harness.Store {
+	js.once.Do(func() {
+		if sj := js.open(); sj != nil {
+			js.sj.Store(sj)
+		}
+	})
+	return js.cur()
+}
+
+func (js *jobStore) GetRun(key string) (sim.Result, bool) { return js.cur().GetRun(key) }
+func (js *jobStore) PutRun(key string, r sim.Result)      { js.put().PutRun(key, r) }
+func (js *jobStore) GetRecording(key string) (*trace.Recording, bool) {
+	return js.cur().GetRecording(key)
+}
+func (js *jobStore) PutRecording(key string, rec *trace.Recording) { js.put().PutRecording(key, rec) }
+func (js *jobStore) GetMix(key string, v any) bool                 { return js.cur().GetMix(key, v) }
+func (js *jobStore) PutMix(key string, v any)                      { js.put().PutMix(key, v) }
+
+var _ harness.StreamAborter = (*jobStore)(nil)

@@ -173,33 +173,37 @@ func (s *Server) runJob(j *Job) {
 	pool := harness.NewPool(s.cfg.Workers)
 	pool.SetProgress(j.setProgress)
 
+	// The running state is not persisted: a restart requeues a running
+	// job exactly like a queued one (loadJobs).
 	j.mu.Lock()
 	j.state = StateRunning
 	j.pool = pool
 	j.mu.Unlock()
-	s.persist(j)
 
 	jp := s.journalPath(j.id)
 	man := rs.Manifest()
-	var sj *harness.SweepJournal
-	if _, statErr := os.Stat(jp); statErr == nil {
-		sj, err = harness.ResumeSweep(jp, man, s.shared)
+	js := &jobStore{dedupStore: s.shared, open: func() *harness.SweepJournal {
+		sj, err := harness.NewSweep(jp, man, s.shared)
 		if err != nil {
+			// Like a failed persist: the job runs on, unjournaled.
+			s.logf("job %s: %v; running without a journal", j.id, err)
+			return nil
+		}
+		sj.OnCell(j.setJournaled)
+		return sj
+	}}
+	if _, statErr := os.Stat(jp); statErr == nil {
+		if sj, err := harness.ResumeSweep(jp, man, s.shared); err != nil {
 			s.logf("job %s: %v; starting the sweep fresh", j.id, err)
-			sj, err = harness.NewSweep(jp, man, s.shared)
+			os.Remove(jp)
 		} else {
 			s.logf("job %s: resuming with %d journaled cells", j.id, sj.Cells())
+			sj.OnCell(j.setJournaled)
+			j.setJournaled(sj.Cells())
+			js.once.Do(func() { js.sj.Store(sj) })
 		}
-	} else {
-		sj, err = harness.NewSweep(jp, man, s.shared)
 	}
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error())
-		return
-	}
-	sj.OnCell(j.setJournaled)
-	j.setJournaled(sj.Cells())
-	pool.SetStore(sj)
+	pool.SetStore(js)
 
 	var results []harness.Result
 	for _, name := range rs.Names {
@@ -211,7 +215,6 @@ func (s *Server) runJob(j *Job) {
 		results = append(results, harness.Run(e, rs.Params, pool)...)
 		s.logf("job %s: %s completed in %v", j.id, e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	sj.Close()
 
 	j.mu.Lock()
 	j.pool = nil
@@ -219,6 +222,10 @@ func (s *Server) runJob(j *Job) {
 	j.failedCells = pool.FailedCells()
 	cancelled := j.cancelled
 	j.mu.Unlock()
+
+	if sj := js.sj.Load(); sj != nil {
+		sj.Close()
+	}
 
 	if pool.Draining() {
 		if cancelled {

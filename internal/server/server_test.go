@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -318,6 +319,43 @@ func TestAblationsJobJournalsItsRuns(t *testing.T) {
 	done := waitJob(t, ts, v.ID, "done", func(v jobView) bool { return v.State == StateDone })
 	if done.Progress.Journaled != uint64(len(keys)) {
 		t.Errorf("ablations job journaled %d runs, want %d (its distinct runs)", done.Progress.Journaled, len(keys))
+	}
+}
+
+// TestJournalOnFirstPut: a job creates its journal when it first puts
+// something, so a warm resubmit writes none, and a job that cannot
+// create one still completes, unjournaled.
+func TestJournalOnFirstPut(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	spec := harness.SweepSpec{Experiments: []string{"fig10"}, Visits: 200, Seeds: 1}
+	cold := submit(t, ts, spec)
+	waitJob(t, ts, cold.ID, "done", func(v jobView) bool { return v.State == StateDone })
+	warm := submit(t, ts, spec)
+	waitJob(t, ts, warm.ID, "done", func(v jobView) bool { return v.State == StateDone })
+	if _, err := os.Stat(srv.journalPath(cold.ID)); err != nil {
+		t.Errorf("cold job's journal: %v", err)
+	}
+	if _, err := os.Stat(srv.journalPath(warm.ID)); !os.IsNotExist(err) {
+		t.Errorf("warm job wrote a journal (stat: %v), want none", err)
+	}
+
+	// The journal directory replaced by a file: new cells cannot be
+	// journaled, and the job still ends done with the reference bytes.
+	dir := filepath.Dir(srv.journalPath(warm.ID))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec.Visits = 201
+	v := submit(t, ts, spec)
+	done := waitJob(t, ts, v.ID, "done", func(v jobView) bool { return v.State == StateDone })
+	if done.Progress.Journaled != 0 || done.GenPasses == 0 {
+		t.Errorf("unjournaled cold job: journaled %d, gen_passes %d; want 0 and > 0", done.Progress.Journaled, done.GenPasses)
+	}
+	if _, _, got := fetchResult(t, ts, v.ID); !bytes.Equal(got, renderReference(t, spec)) {
+		t.Errorf("unjournaled job's artifact differs from the reference")
 	}
 }
 

@@ -61,11 +61,8 @@ func normalizedKeyDoc(spec workload.Spec, rc RunConfig) keyDoc {
 		Bench:     spec.Name,
 		BenchSeed: spec.Seed,
 		Policy:    rc.Policy,
-		Visits:    rc.Visits,
+		Visits:    visitsOrDefault(rc.Visits),
 		Heap:      rc.Heap,
-	}
-	if d.Visits <= 0 {
-		d.Visits = 100_000
 	}
 	if rc.Policy != PolicyNone {
 		d.MinPad, d.MaxPad, d.FixedPad = rc.MinPad, rc.MaxPad, rc.FixedPad

@@ -87,6 +87,16 @@ type RunConfig struct {
 	Visits int
 }
 
+// visitsOrDefault resolves a visit count: <=0 means the default of
+// 100 000. Run, CaptureScript and the store keys all resolve through
+// it, so a defaulted cell's script, result and key name one region.
+func visitsOrDefault(v int) int {
+	if v <= 0 {
+		return 100_000
+	}
+	return v
+}
+
 // Result captures a finished run.
 type Result struct {
 	Benchmark    string
@@ -207,12 +217,8 @@ func Run(spec workload.Spec, rc RunConfig) Result {
 	if check != nil {
 		env.Sink = sink
 	}
-	visits := rc.Visits
-	if visits <= 0 {
-		visits = 100_000
-	}
 	t = probeStage(t, &probe.setupNs)
-	spec.Run(env, visits)
+	spec.Run(env, visitsOrDefault(rc.Visits))
 	probeStage(t, &probe.simNs)
 	probeOps(m.core.Stats.Instructions)
 	r := m.result(spec.Name, heap.Footprint())
@@ -221,12 +227,13 @@ func Run(spec workload.Spec, rc RunConfig) Result {
 }
 
 // CaptureScript resolves a benchmark's kernel decision stream for the
-// given visit count (see workload.Script), charging the cost to the
-// probe's capture stage. The harness captures one script per benchmark
-// per sweep and shares it across every configuration cell.
+// given visit count (see workload.Script; <=0 resolves to Run's
+// default), charging the cost to the probe's capture stage. The
+// harness captures one script per benchmark per sweep and shares it
+// across every configuration cell.
 func CaptureScript(spec workload.Spec, visits int) *workload.Script {
 	t := probeStart()
-	sc := spec.CaptureScript(visits)
+	sc := spec.CaptureScript(visitsOrDefault(visits))
 	probeStage(t, &probe.captureNs)
 	return sc
 }
