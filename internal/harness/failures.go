@@ -29,7 +29,7 @@ import (
 // to stderr, never into emitter output (addresses are nondeterministic).
 type CellError struct {
 	Cell  string `json:"cell"`  // deterministic cell coordinates
-	Stage string `json:"stage"` // capture | replay | mix | task
+	Stage string `json:"stage"` // capture | replay | direct | mix | task
 	Err   string `json:"error"`
 	Stack string `json:"-"`
 }

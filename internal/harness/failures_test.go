@@ -205,3 +205,53 @@ func TestGenerousWatchdogIsByteTransparent(t *testing.T) {
 		t.Fatalf("1h watchdog failed cells: %v", failed)
 	}
 }
+
+func TestInjectedPanicsFailDirectRunsPerPoint(t *testing.T) {
+	// The ablation points are direct runs, outside any Matrix or Mix:
+	// at rate 1 each must fail under its own key-derived name while
+	// every sweep keeps all its rows, nothing reaches the pool's
+	// backstop, and progress completes.
+	armFaults(t, faultinject.Config{Seed: 1, Rate: 1, Points: []string{"cell.panic"}})
+	const visits = 200
+	var points []int
+	keys := map[string]bool{}
+	for _, sweep := range sim.AblationSweeps() {
+		n := 0
+		sweep(visits, func(spec workload.Spec, rc sim.RunConfig) sim.Result {
+			n++
+			keys[sim.RunKey(spec, rc)] = true
+			return sim.Result{}
+		})
+		points = append(points, n)
+	}
+
+	e, _ := Get("ablations")
+	pool := NewPool(2)
+	rs := Run(e, Params{Visits: visits}, pool)
+	if len(rs) != len(points)+1 || rs[len(rs)-1].Title != FailedTitle {
+		t.Fatalf("got %d records, want %d sweep tables and a FAILED table", len(rs), len(points))
+	}
+	total, names := 0, map[string]bool{}
+	for i, n := range points {
+		if len(rs[i].Rows) != n {
+			t.Errorf("%s: %d rows, want %d", rs[i].Title, len(rs[i].Rows), n)
+		}
+		total += n
+	}
+	failed := rs[len(rs)-1].Rows
+	if len(failed) != total {
+		t.Fatalf("%d failed points, want %d (one per point)", len(failed), total)
+	}
+	for _, row := range failed {
+		if !strings.HasPrefix(row[0], "direct/") || row[1] != "direct" || row[2] != "injected panic at cell.panic" {
+			t.Fatalf("failure row %q, want a named direct-run failure", row)
+		}
+		names[row[0]] = true
+	}
+	if len(names) != len(keys) {
+		t.Fatalf("%d distinct failure names for %d distinct run keys", len(names), len(keys))
+	}
+	if done, total := pool.Progress(); done != total {
+		t.Fatalf("progress %d/%d after the sweep", done, total)
+	}
+}

@@ -140,21 +140,6 @@ func TestExperimentBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestPoolMapCoversAllIndices(t *testing.T) {
-	pool := NewPool(4)
-	hits := make([]int, 100)
-	pool.Map(len(hits), func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d ran %d times", i, h)
-		}
-	}
-	pool.Map(0, func(int) { t.Fatal("map over zero items invoked f") })
-	if NewPool(0).Workers() <= 0 {
-		t.Fatal("default pool width must be positive")
-	}
-}
-
 // The three tests below moved here from internal/sim when the sweep
 // drivers became harness matrices: they assert the paper's headline
 // shapes on the real workload set.

@@ -222,14 +222,14 @@ func (m Matrix) groups(cells []Cell) []*matrixGroup {
 // results, replays a stored stream onto the missing machines, and pays
 // a generation pass only for a genuinely new stream — captured once
 // and multicast to every sibling cell. Emission folds results into
-// coordinate-addressed slots. Group tasks run on the pool's
-// work-stealing deques; output is bit-identical to independent
-// per-cell runs at any worker count, warm or cold.
+// coordinate-addressed slots. Groups are handed to the pool's workers
+// in submission order; output is bit-identical to independent per-cell
+// runs at any worker count, warm or cold.
 func (m Matrix) Run(pool *Pool) MatrixResult {
 	res := newMatrixResult(m)
 	cells := m.Cells()
 	pool.addTotal(len(cells))
-	pool.Run(m.schedule(pool, cells, res.emit))
+	m.schedule(pool, cells, res.emit)
 	return res
 }
 
@@ -243,34 +243,31 @@ func (m Matrix) cellName(cell Cell) string {
 	return fmt.Sprintf("%s/%s/seed=%d/machine=%d", m.Benches[cell.Bench].Name, cfg, cell.Seed, cell.Machine)
 }
 
-// schedule turns the enumerated cells into pool tasks, one per
+// schedule runs the enumerated cells on the pool, one unit per
 // op-stream group, each served through its own stream handle against
 // the pool's store (nil: always run). Failed cells land on the pool;
 // the group's healthy cells still emit.
-func (m Matrix) schedule(pool *Pool, cells []Cell, emit func(Cell, sim.Result)) []Task {
+func (m Matrix) schedule(pool *Pool, cells []Cell, emit func(Cell, sim.Result)) {
 	script := scripts(m.Benches, m.Visits)
 	groups := m.groups(cells)
-	tasks := make([]Task, len(groups))
-	for gi, g := range groups {
-		tasks[gi] = func(func(Task)) {
-			b := cells[g.cells[0]].Bench
-			rcs := make([]sim.RunConfig, len(g.cells))
-			for i, ci := range g.cells {
-				rcs[i] = m.Config(cells[ci])
-			}
-			s := &stream{pool: pool, spec: m.Benches[b], capture: rcs[0], script: script[b]}
-			s.run(rcs, func(i int, r sim.Result, stage string, rp *recoveredPanic) {
-				cell := cells[g.cells[i]]
-				if rp != nil {
-					pool.fail(m.cellName(cell), stage, rp)
-				} else {
-					emit(cell, r)
-				}
-				pool.cellDone()
-			})
+	pool.loop(len(groups), func(gi int) {
+		g := groups[gi]
+		b := cells[g.cells[0]].Bench
+		rcs := make([]sim.RunConfig, len(g.cells))
+		for i, ci := range g.cells {
+			rcs[i] = m.Config(cells[ci])
 		}
-	}
-	return tasks
+		s := &stream{pool: pool, spec: m.Benches[b], capture: rcs[0], script: script[b]}
+		s.run(rcs, func(i int, r sim.Result, stage string, rp *recoveredPanic) {
+			cell := cells[g.cells[i]]
+			if rp != nil {
+				pool.fail(m.cellName(cell), stage, rp)
+			} else {
+				emit(cell, r)
+			}
+			pool.cellDone()
+		})
+	})
 }
 
 // SlowdownAt returns benchmark b's slowdown under config c on

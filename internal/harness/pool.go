@@ -1,25 +1,27 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Pool is a fixed-width worker pool with a work-stealing shard
-// scheduler. Experiments shard their run units over it with Map; the
-// capture/replay engine submits shard Tasks that spawn follow-up work
-// (a captured trace fanning out to its sibling configurations) with
-// Run. Unit results are written to index-addressed slots, so
-// scheduling order never leaks into output.
+// Pool is a fixed-width worker pool. Experiments shard their run
+// units over it with Map, and Matrix.Run its op-stream groups: each
+// worker takes the next unit index from a shared counter until the
+// indices run out. Unit results are written to index-addressed slots,
+// so scheduling order never leaks into output.
 //
 // Drain is the graceful-shutdown half of the failure layer: once
-// called, queued and newly spawned tasks are discarded while in-flight
-// tasks finish, and every later Run returns immediately — the signal
+// called, no further unit starts while in-flight units finish, and
+// every later Map or Matrix.Run returns immediately — the signal
 // handler in cmd/califorms-bench drains the pool, flushes store and
 // journal, and exits resumable.
 //
@@ -36,11 +38,8 @@ type Pool struct {
 	workers int
 	drain   atomic.Bool
 
-	mu     sync.Mutex
-	active *sched
-
 	// store is the sweep's store; nil runs every cell. Set before the
-	// sweep starts, never concurrently with Run.
+	// sweep starts, never concurrently with a running sweep.
 	store Store
 
 	// genPasses counts the workload generation passes this pool's
@@ -77,8 +76,8 @@ func (p *Pool) Workers() int { return p.workers }
 
 // SetStore installs the store this pool's sweeps schedule against;
 // nil (the default) runs every cell. Call it before submitting work,
-// never concurrently with Run — it is sweep setup, not a hot-path
-// knob.
+// never concurrently with a running sweep — it is sweep setup, not a
+// hot-path knob.
 func (p *Pool) SetStore(s Store) { p.store = s }
 
 // Store returns the store installed by SetStore (nil without one).
@@ -92,17 +91,27 @@ func (p *Pool) GenPasses() uint64 { return p.genPasses.Load() }
 // runDirect executes one direct cell — a run outside any Matrix or Mix,
 // such as an ablation point — through the pool's store: a stored
 // result is served as is; otherwise the cell runs, costing one
-// generation pass, and its result is stored.
+// generation pass, and its result is stored. The run is guarded like a
+// stream handle's: a failed cell is named after its run key and yields
+// a zero Result, which is not stored.
 func (p *Pool) runDirect(spec workload.Spec, rc sim.RunConfig) sim.Result {
-	key := ""
+	key := sim.RunKey(spec, rc)
 	if p.store != nil {
-		key = sim.RunKey(spec, rc)
 		if r, ok := p.store.GetRun(key); ok {
 			return r
 		}
 	}
-	p.genPasses.Add(1)
-	r := sim.Run(spec, rc)
+	var r sim.Result
+	if rp := runRecovered(func() {
+		faultinject.CheckPanic("cell.panic")
+		faultinject.Delay("cell.delay")
+		p.genPasses.Add(1)
+		r = sim.Run(spec, rc)
+	}); rp != nil {
+		sum := sha256.Sum256([]byte(key))
+		p.fail(fmt.Sprintf("direct/%s/%x", spec.Name, sum[:4]), "direct", rp)
+		return sim.Result{}
+	}
 	if p.store != nil {
 		p.store.PutRun(key, r)
 	}
@@ -165,195 +174,61 @@ func (p *Pool) drainPending() []CellError {
 	return out
 }
 
-// Drain asks the pool to stop dispatching: queued and newly spawned
-// tasks are dropped, in-flight tasks run to completion, and Run
-// returns once the last one finishes. The flag is sticky — subsequent
-// Run calls on a drained pool return immediately.
-func (p *Pool) Drain() {
-	p.drain.Store(true)
-	p.mu.Lock()
-	s := p.active
-	p.mu.Unlock()
-	if s != nil {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
+// Drain asks the pool to stop dispatching: no further unit starts,
+// in-flight units run to completion, and the running Map or Matrix.Run
+// returns once the last one finishes. The flag is sticky — later calls
+// on a drained pool return immediately.
+func (p *Pool) Drain() { p.drain.Store(true) }
 
 // Draining reports whether Drain has been called.
 func (p *Pool) Draining() bool { return p.drain.Load() }
 
-// Task is one schedulable unit. It may spawn follow-up tasks, which
-// land on the spawning worker's own deque (depth-first, keeping
-// freshly produced state hot) and are stolen by idle workers, so
-// spawned work still spreads across the pool.
-type Task func(spawn func(Task))
-
-// sched is the shared state of one Run invocation: one deque per
-// worker plus an outstanding-task count for termination. Tasks are
-// coarse (a whole simulation cell), so a single mutex is uncontended
-// in practice; owners pop their deque LIFO for locality, thieves
-// steal FIFO so the oldest (largest) shards migrate first.
-type sched struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	deques      [][]Task
-	outstanding int
-	drain       *atomic.Bool
-}
-
-func (s *sched) push(w int, t Task) {
-	s.mu.Lock()
-	s.outstanding++
-	s.deques[w] = append(s.deques[w], t)
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// next pops the worker's own deque, stealing on empty. It returns nil
-// only when every task has finished — or, under drain, once the queues
-// have been discarded and the in-flight tasks have completed.
-func (s *sched) next(w int) Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.drain.Load() {
-			for i := range s.deques {
-				s.outstanding -= len(s.deques[i])
-				s.deques[i] = nil
-			}
-		}
-		if d := s.deques[w]; len(d) > 0 {
-			t := d[len(d)-1]
-			s.deques[w] = d[:len(d)-1]
-			return t
-		}
-		for i := 1; i < len(s.deques); i++ {
-			v := w + i
-			if v >= len(s.deques) {
-				v -= len(s.deques)
-			}
-			if d := s.deques[v]; len(d) > 0 {
-				t := d[0]
-				s.deques[v] = d[1:]
-				return t
-			}
-		}
-		if s.outstanding == 0 {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-func (s *sched) done() {
-	s.mu.Lock()
-	s.outstanding--
-	finished := s.outstanding == 0
-	s.mu.Unlock()
-	if finished {
-		s.cond.Broadcast()
-	}
-}
-
-// Run executes the tasks — and everything they spawn — across the
-// pool and returns when all have finished. With one worker, tasks run
-// sequentially in submission order, spawned work depth-first, which is
-// also the degenerate scheduling every multi-worker run is equivalent
-// to output-wise.
-func (p *Pool) Run(tasks []Task) {
-	if len(tasks) == 0 {
-		return
-	}
-	// The full pool width is spun up even when the initial task list
-	// is shorter: tasks may spawn follow-up work, and a worker idled
-	// by a short list parks on the condition variable until spawns
-	// arrive or the run drains.
-	workers := p.workers
-	if workers <= 1 {
-		var stack []Task
-		spawn := func(t Task) { stack = append(stack, t) }
-		for _, t := range tasks {
-			if p.drain.Load() {
-				return
-			}
-			p.runTask(t, spawn)
-			for len(stack) > 0 {
-				if p.drain.Load() {
-					return
-				}
-				n := len(stack) - 1
-				st := stack[n]
-				stack = stack[:n]
-				p.runTask(st, spawn)
-			}
-		}
-		return
-	}
-	s := &sched{deques: make([][]Task, workers), outstanding: len(tasks), drain: &p.drain}
-	s.cond = sync.NewCond(&s.mu)
-	for i, t := range tasks {
-		s.deques[i%workers] = append(s.deques[i%workers], t)
-	}
-	p.mu.Lock()
-	p.active = s
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.active = nil
-		p.mu.Unlock()
-	}()
+// loop runs f(0..n-1) on up to Workers goroutines and returns when all
+// started calls have returned. Each worker takes the next index from a
+// shared counter until the indices run out or Drain is called: no unit
+// adds work to the pool, so an idle worker has nothing to wait for.
+func (p *Pool) loop(n int, f func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(p.workers, n); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			spawn := func(t Task) { s.push(w, t) }
-			for {
-				t := s.next(w)
-				if t == nil {
+			for !p.drain.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				p.runTask(t, spawn)
-				s.done()
+				p.runUnit(f, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
 
-// runTask is the pool's last-resort panic backstop. The scheduler
+// runUnit is the pool's last-resort panic backstop. The sweep engine
 // guards cell execution itself (with precise cell coordinates); a
 // panic reaching here escaped those guards — it is still recorded and
-// isolated so one broken task can neither kill the process nor
-// deadlock the pool's termination accounting.
-func (p *Pool) runTask(t Task, spawn func(Task)) {
+// isolated so one broken unit can neither kill the process nor stop
+// its worker.
+func (p *Pool) runUnit(f func(i int), i int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.fail("(pool task)", "task", &recoveredPanic{msg: panicMessage(r), stack: string(debug.Stack())})
 		}
 	}()
-	t(spawn)
+	f(i)
 }
 
 // Map runs f(0..n-1) across the pool and returns when all calls have
 // finished. f must write its result to an index-addressed location;
 // invocation order is unspecified. Each unit counts toward the pool's
 // cell progress: the total grows by n up front, done by one per
-// returned call (failed units return normally — their guards recover).
+// finished call — a unit that panics past its own guard included.
 func (p *Pool) Map(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
 	p.addTotal(n)
-	tasks := make([]Task, n)
-	for i := range tasks {
-		i := i
-		tasks[i] = func(func(Task)) {
-			f(i)
-			p.cellDone()
-		}
-	}
-	p.Run(tasks)
+	p.loop(n, func(i int) {
+		defer p.cellDone()
+		f(i)
+	})
 }

@@ -1,106 +1,103 @@
 package harness
 
 import (
-	"math/rand"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestPoolStealPathDeterminism drives the work-stealing scheduler off
-// its happy path — a deliberately imbalanced task set where one shard
-// is much slower than the rest, forcing idle workers onto the
-// FIFO-steal path and spawned tasks to migrate — and checks the
-// determinism contract survives: every unit runs exactly once, its
-// result lands in its own slot, and the folded output is identical at
-// every worker count and across repetitions. Runs under -race in CI
-// (it is not skipped in -short mode): the interesting failure mode is
-// a data race or a lost/duplicated task under stealing pressure.
-func TestPoolStealPathDeterminism(t *testing.T) {
-	const roots = 24
-	const children = 16
-	compute := func(i int) int64 { return int64(i)*2654435761 ^ int64(i)<<7 }
+// TestPoolLoop drives the pool's worker loop at several widths with
+// jittered unit costs, so interleavings vary run to run: every index
+// runs exactly once; a unit that panics past every guard is recorded
+// once on the pool's backstop while every other index still runs; and
+// a Drain from inside a running unit lets the in-flight units finish,
+// starts no further index, and leaves later Maps empty. It is not
+// skipped under -short, so CI's race job runs it.
+func TestPoolLoop(t *testing.T) {
+	const n = 200
+	jitter := func(i int) {
+		for k := 0; k < (i*7)%5; k++ {
+			runtime.Gosched()
+		}
+	}
+	if NewPool(0).Workers() <= 0 {
+		t.Fatal("default pool width must be positive")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			hits := make([]atomic.Int32, n)
+			pool := NewPool(workers)
+			pool.Map(n, func(i int) {
+				jitter(i)
+				hits[i].Add(1)
+			})
+			for i := range hits {
+				if h := hits[i].Load(); h != 1 {
+					t.Fatalf("index %d ran %d times", i, h)
+				}
+			}
+			pool.Map(0, func(int) { t.Error("map over zero items invoked f") })
+			if done, total := pool.Progress(); done != n || total != n {
+				t.Fatalf("progress %d/%d, want %d/%d", done, total, n, n)
+			}
 
-	run := func(workers int) []int64 {
-		out := make([]int64, roots*children)
-		var ran atomic.Int64
-		tasks := make([]Task, roots)
-		for i := 0; i < roots; i++ {
-			i := i
-			tasks[i] = func(spawn func(Task)) {
+			// The backstop: one unit panics outside any guard.
+			const bad = 17
+			hits = make([]atomic.Int32, n)
+			pool = NewPool(workers)
+			pool.Map(n, func(i int) {
+				jitter(i)
+				if i == bad {
+					panic("unit bug")
+				}
+				hits[i].Add(1)
+			})
+			for i := range hits {
+				want := int32(1)
+				if i == bad {
+					want = 0
+				}
+				if h := hits[i].Load(); h != want {
+					t.Fatalf("index %d ran %d times, want %d", i, h, want)
+				}
+			}
+			failed := pool.drainPending()
+			if len(failed) != 1 || failed[0].Cell != "(pool task)" || failed[0].Stage != "task" || failed[0].Err != "panic: unit bug" {
+				t.Fatalf("backstop recorded %+v, want one (pool task) failure", failed)
+			}
+			if done, total := pool.Progress(); done != n || total != n {
+				t.Fatalf("progress %d/%d after a backstopped panic, want %d/%d", done, total, n, n)
+			}
+
+			// Drain from inside unit 0, the first index handed out. Every
+			// other unit waits until the drain has happened, so each
+			// worker holds at most one unit when the flag goes up.
+			var started, finished atomic.Int32
+			drained := make(chan struct{})
+			pool = NewPool(workers)
+			pool.Map(n, func(i int) {
+				started.Add(1)
 				if i == 0 {
-					// The slow shard: parks its worker long enough that
-					// the other deques drain and thieves must steal the
-					// children spawned below.
-					time.Sleep(2 * time.Millisecond)
+					pool.Drain()
+					close(drained)
+				} else {
+					<-drained
 				}
-				for j := 0; j < children; j++ {
-					j := j
-					spawn(func(spawn2 func(Task)) {
-						// Jitter makes interleavings vary run to run, so a
-						// scheduling-order dependence would show up as
-						// cross-run divergence.
-						if j%5 == 0 {
-							runtime.Gosched()
-						}
-						out[i*children+j] = compute(i*children + j)
-						ran.Add(1)
-					})
-				}
+				jitter(i)
+				finished.Add(1)
+			})
+			s := started.Load()
+			if s < 1 || s > int32(workers) {
+				t.Fatalf("%d units started around a drain at width %d, want 1..%d", s, workers, workers)
 			}
-		}
-		NewPool(workers).Run(tasks)
-		if got := ran.Load(); got != roots*children {
-			t.Fatalf("workers=%d: %d spawned units ran, want %d", workers, got, roots*children)
-		}
-		return out
-	}
-
-	want := run(1)
-	for rep := 0; rep < 3; rep++ {
-		for _, workers := range []int{2, 4, 16} {
-			got := run(workers)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d rep=%d: slot %d = %d, want %d", workers, rep, i, got[i], want[i])
-				}
+			if f := finished.Load(); f != s {
+				t.Fatalf("%d of %d in-flight units finished", f, s)
 			}
-		}
-	}
-}
-
-// TestPoolStealSpawnChains exercises deep spawn-from-spawned chains
-// (each stolen task spawns its successor) with randomized task costs:
-// the termination protocol must not declare the run finished while
-// chain tails are still being produced.
-func TestPoolStealSpawnChains(t *testing.T) {
-	const chains = 8
-	const depth = 50
-	var hops atomic.Int64
-	r := rand.New(rand.NewSource(1))
-	costs := make([]int, chains*depth)
-	for i := range costs {
-		costs[i] = r.Intn(3)
-	}
-	var tasks []Task
-	var link func(c, d int) Task
-	link = func(c, d int) Task {
-		return func(spawn func(Task)) {
-			for k := 0; k < costs[c*depth+d]; k++ {
-				runtime.Gosched()
+			if done, _ := pool.Progress(); done != uint64(s) {
+				t.Fatalf("progress counts %d done, want %d", done, s)
 			}
-			hops.Add(1)
-			if d+1 < depth {
-				spawn(link(c, d+1))
-			}
-		}
-	}
-	for c := 0; c < chains; c++ {
-		tasks = append(tasks, link(c, 0))
-	}
-	NewPool(8).Run(tasks)
-	if got := hops.Load(); got != chains*depth {
-		t.Fatalf("%d chain hops ran, want %d", got, chains*depth)
+			pool.Map(n, func(int) { t.Error("a drained pool started a unit") })
+		})
 	}
 }

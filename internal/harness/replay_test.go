@@ -157,28 +157,3 @@ func TestTraceKeyGrouping(t *testing.T) {
 		t.Fatal("different layout-seed replicas must not share a trace key")
 	}
 }
-
-// TestPoolRunSpawn exercises the work-stealing scheduler: tasks spawn
-// follow-up tasks, everything completes at every worker count.
-func TestPoolRunSpawn(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		done := make([]bool, 64)
-		var tasks []Task
-		for i := 0; i < 8; i++ {
-			i := i
-			tasks = append(tasks, func(spawn func(Task)) {
-				done[i*8] = true
-				for j := 1; j < 8; j++ {
-					j := j
-					spawn(func(func(Task)) { done[i*8+j] = true })
-				}
-			})
-		}
-		NewPool(workers).Run(tasks)
-		for i, d := range done {
-			if !d {
-				t.Fatalf("workers=%d: task %d never ran", workers, i)
-			}
-		}
-	}
-}

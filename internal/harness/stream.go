@@ -43,7 +43,7 @@ type stream struct {
 	script  func() *workload.Script
 	// keep tees a recording even without a store and holds the capture
 	// for the Mix units. A Matrix handle drops its capture once it is
-	// stored, and a loaded recording along with its group's task.
+	// stored, and a loaded recording along with its group's unit.
 	keep bool
 
 	once sync.Once

@@ -8,8 +8,8 @@ import (
 )
 
 // genPasses counts workload generation passes — runs where the kernel
-// and allocator actually execute (Run, RunScripted, and one per
-// RunFanout group, however many sibling machines it feeds). Replays
+// and allocator actually execute (RunScripted, which Run calls, and one
+// per RunFanout group, however many sibling machines it feeds). Replays
 // from a recording do not count. The counter is cumulative and always
 // on (one atomic add per run, nothing per op); tests of the
 // capture-sharing contract snapshot it around a sweep and assert the
@@ -23,8 +23,8 @@ func GenerationPasses() uint64 { return genPasses.Load() }
 // The probe is the measurement hook behind internal/perf: while
 // enabled, every Run/RunScripted/RunReplayed accumulates its
 // simulated-instruction count and its per-stage CPU cost into atomic
-// counters. Stages are: machine/layout setup, direct or scripted
-// kernel simulation, recording capture (a scripted run teeing its op
+// counters. Stages are: machine/layout setup, scripted kernel
+// simulation, recording capture (a scripted run teeing its op
 // stream into a trace.Recording), and recording replay. The hook
 // costs two atomic loads per run when disabled — nothing per
 // simulated op — so it never perturbs the hot path it measures.

@@ -88,8 +88,8 @@ type RunConfig struct {
 }
 
 // visitsOrDefault resolves a visit count: <=0 means the default of
-// 100 000. Run, CaptureScript and the store keys all resolve through
-// it, so a defaulted cell's script, result and key name one region.
+// 100 000. CaptureScript and the store keys both resolve through it,
+// so a defaulted cell's script, result and key name one region.
 func visitsOrDefault(v int) int {
 	if v <= 0 {
 		return 100_000
@@ -203,32 +203,12 @@ func (m rig) result(name string, heapBytes uint64) Result {
 // serving from a store is the caller's business (the harness's Pool
 // does it for the direct runs its sweeps make).
 func Run(spec workload.Spec, rc RunConfig) Result {
-	genPasses.Add(1)
-	t := probeStart()
-	m := buildMachine(rc)
-	var sink trace.Sink = m.core
-	check := watchdog()
-	if check != nil {
-		sink = trace.NewGuard(m.core, check)
-	}
-	heap := buildHeap(rc, sink)
-	ins := instrument(spec, rc)
-	env := &workload.Env{Core: m.core, Heap: heap, Ins: ins}
-	if check != nil {
-		env.Sink = sink
-	}
-	t = probeStage(t, &probe.setupNs)
-	spec.Run(env, visitsOrDefault(rc.Visits))
-	probeStage(t, &probe.simNs)
-	probeOps(m.core.Stats.Instructions)
-	r := m.result(spec.Name, heap.Footprint())
-	m.hier.Release()
-	return r
+	return RunScripted(spec, rc, CaptureScript(spec, rc.Visits), nil)
 }
 
 // CaptureScript resolves a benchmark's kernel decision stream for the
-// given visit count (see workload.Script; <=0 resolves to Run's
-// default), charging the cost to the probe's capture stage. The
+// given visit count (see workload.Script; <=0 resolves to the default
+// of 100 000), charging the cost to the probe's capture stage. The
 // harness captures one script per benchmark per sweep and shares it
 // across every configuration cell.
 func CaptureScript(spec workload.Spec, visits int) *workload.Script {
@@ -239,13 +219,12 @@ func CaptureScript(spec workload.Spec, visits int) *workload.Script {
 }
 
 // RunScripted executes one workload cell from a pre-captured decision
-// script (see workload.Script): machine setup and layouts are built
-// from rc exactly as Run does, but the kernel replays the script
-// instead of re-drawing its decisions. When rec is non-nil the full op
-// stream — kernel and allocator ops in program order — is captured
-// into it along with the measurement boundary and heap footprint, so
-// sibling configurations with an identical stream can be served by
-// RunReplayed. Results are identical to Run for the same (spec, rc).
+// script (see workload.Script): the machine, the layouts and the heap
+// are built from rc, and the kernel takes its decisions from the
+// script. When rec is non-nil the full op stream — kernel and
+// allocator ops in program order — is captured into it along with the
+// measurement boundary and heap footprint, so sibling configurations
+// with an identical stream can be served by RunReplayed.
 func RunScripted(spec workload.Spec, rc RunConfig, sc *workload.Script, rec *trace.Recording) Result {
 	genPasses.Add(1)
 	t := probeStart()

@@ -70,10 +70,10 @@ func (s Spec) effFieldCounts() []uint8 {
 }
 
 // CaptureScript resolves the kernel's full decision stream for the
-// given visit count without touching a simulated machine: it walks
-// exactly the RNG draw sequence Spec.Run performs and records each
-// outcome. The capture is cheap (no cache or core work) and runs once
-// per benchmark per sweep.
+// given visit count without touching a simulated machine: it performs
+// the kernel's RNG draw sequence (the package tests keep the RNG
+// kernel as its oracle) and records each outcome. The capture is cheap
+// (no cache or core work) and runs once per benchmark per sweep.
 func (s Spec) CaptureScript(visits int) *Script {
 	eff := s.effFieldCounts()
 	nTypes := len(eff)
@@ -159,13 +159,11 @@ func (s Spec) CaptureScript(visits int) *Script {
 }
 
 // RunScripted executes the kernel on env, taking every decision from
-// the captured script instead of drawing it: the op stream delivered
-// to env's sink is identical to Spec.Run(env, sc.Visits), but the
-// per-visit RNG work, the epoch shuffle and the object bookkeeping are
-// paid once at capture instead of once per configuration. Population
-// stores are additionally emitted through the batch (Spec.Run issues
-// them one core call at a time); batched dispatch is semantically
-// identical, so results do not change.
+// the captured script instead of drawing it, so the per-visit RNG
+// work, the epoch shuffle and the object bookkeeping are paid once at
+// capture instead of once per configuration. Timing and cache
+// statistics reset after the heap is populated: only the steady-state
+// region is measured (the paper's SimPoint methodology).
 func (s Spec) RunScripted(env *Env, sc *Script) {
 	core := env.Core
 	sink := env.SinkOrCore()
@@ -224,12 +222,10 @@ func (s Spec) RunScripted(env *Env, sc *Script) {
 	}
 	trace.Flush(b, sink)
 
-	if !env.MeasureSetup {
-		core.ResetTiming()
-		core.Hierarchy().ResetStats()
-		if env.ResetHook != nil {
-			env.ResetHook()
-		}
+	core.ResetTiming()
+	core.Hierarchy().ResetStats()
+	if env.ResetHook != nil {
+		env.ResetHook()
 	}
 
 	churnEvery := 0

@@ -61,36 +61,30 @@ func collect(env *Env) machineState {
 	}
 }
 
-// TestScriptedMatchesDirect is the kernel-level referee: for a spread
-// of benchmarks and configurations, RunScripted must leave the machine
-// in exactly the state Run does.
+// TestScriptedMatchesDirect is the kernel-level referee: for every
+// benchmark of the registry at its full population, under the baseline
+// and the full 1-7B + CFORM configuration, RunScripted from a captured
+// script must leave the machine in exactly the state the RNG kernel
+// does.
 func TestScriptedMatchesDirect(t *testing.T) {
-	const visits = 1200
-	for _, name := range []string{"astar", "mcf", "hmmer", "perlbench", "bzip2", "xalancbmk"} {
-		spec, ok := ByName(name)
-		if !ok {
-			t.Fatalf("unknown benchmark %s", name)
-		}
-		spec.LiveObjects /= 10 // keep the test fast; population still runs
-		if spec.LiveObjects == 0 {
-			spec.LiveObjects = 10
-		}
+	const visits = 500
+	for _, spec := range Fig10Set() {
+		sc := spec.CaptureScript(visits)
 		for _, cfg := range []struct {
 			policy int
 			pad    int
-		}{{0, 0}, {1, 3}, {1, 7}} {
+		}{{0, 0}, {1, 7}} {
 			direct := buildEnv(spec, cfg.policy, cfg.pad, 42)
-			spec.Run(direct, visits)
+			spec.runRNG(direct, visits)
 			ds := collect(direct)
 
 			scripted := buildEnv(spec, cfg.policy, cfg.pad, 42)
-			sc := spec.CaptureScript(visits)
 			spec.RunScripted(scripted, sc)
 			ss := collect(scripted)
 
 			if ds != ss {
 				t.Errorf("%s policy=%d pad=%d: scripted state diverges\ndirect:   %+v\nscripted: %+v",
-					name, cfg.policy, cfg.pad, ds, ss)
+					spec.Name, cfg.policy, cfg.pad, ds, ss)
 			}
 		}
 	}
@@ -109,7 +103,7 @@ func TestScriptSharedAcrossConfigs(t *testing.T) {
 		pad    int
 	}{{0, 0}, {1, 3}, {1, 5}, {1, 7}} {
 		direct := buildEnv(spec, cfg.policy, cfg.pad, 7)
-		spec.Run(direct, visits)
+		spec.runRNG(direct, visits)
 		scripted := buildEnv(spec, cfg.policy, cfg.pad, 7)
 		spec.RunScripted(scripted, sc)
 		if d, s := collect(direct), collect(scripted); d != s {

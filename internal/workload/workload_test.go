@@ -57,7 +57,7 @@ func TestRunProducesWork(t *testing.T) {
 		ins[i] = compiler.InstrumentNone(defs[i])
 	}
 	env := &Env{Core: c, Heap: heap, Ins: ins}
-	spec.Run(env, 3000)
+	spec.RunScripted(env, spec.CaptureScript(3000))
 	if c.Stats.Loads == 0 || c.Stats.Stores == 0 || c.Stats.Instructions == 0 {
 		t.Fatalf("no work recorded: %+v", c.Stats)
 	}
@@ -66,28 +66,6 @@ func TestRunProducesWork(t *testing.T) {
 	}
 	if heap.Stats.Allocs == 0 {
 		t.Fatal("heap never used")
-	}
-}
-
-func TestMeasureSetupFlag(t *testing.T) {
-	spec, _ := ByName("sjeng")
-	run := func(measureSetup bool) float64 {
-		hier := cache.New(cache.Westmere(), mem.New())
-		c := cpu.New(cpu.DefaultConfig(), hier)
-		heap := alloc.New(alloc.DefaultConfig(), c)
-		defs := spec.Types()
-		ins := make([]*compiler.Instrumented, len(defs))
-		for i := range defs {
-			ins[i] = compiler.InstrumentNone(defs[i])
-		}
-		env := &Env{Core: c, Heap: heap, Ins: ins, MeasureSetup: measureSetup}
-		spec.Run(env, 1000)
-		return c.Cycles()
-	}
-	with := run(true)
-	without := run(false)
-	if with <= without {
-		t.Fatalf("including setup (%.0f) must cost more than steady state (%.0f)", with, without)
 	}
 }
 
@@ -106,7 +84,7 @@ func TestChaseHeavyIsSlowerPerVisit(t *testing.T) {
 			ins[i] = compiler.InstrumentNone(defs[i])
 		}
 		env := &Env{Core: c, Heap: heap, Ins: ins}
-		spec.Run(env, 8000)
+		spec.RunScripted(env, spec.CaptureScript(8000))
 		return float64(c.Stats.Instructions) / c.Cycles()
 	}
 	mcf, hmmer := ipc("mcf"), ipc("hmmer")

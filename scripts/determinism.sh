@@ -8,9 +8,9 @@
 #
 #   worker cases — each experiment below runs at 1 and 8 workers in
 #   every listed format and the outputs are diffed byte-for-byte. The
-#   cases cover the engine's distinct schedulers: fig3 (analytic),
-#   fig11 (single-core sweep), mix2 (multicore replay), sens-machine
-#   (cross-machine fan-out).
+#   cases cover the engine's distinct paths: fig3 (analytic), fig11
+#   (single-core sweep), mix2 (multicore replay), sens-machine
+#   (cross-machine fan-out), ablations (direct runs).
 #
 #   store case — fig11+mix2 run storeless, cold into an empty store,
 #   and warm out of it; all three outputs must match byte-for-byte
@@ -43,6 +43,7 @@ CASES=(
   'fig11|200|2|text json csv markdown'
   'mix2|200|2|text json csv'
   'sens-machine|200|2|text json csv'
+  'ablations|200|1|text json'
 )
 
 for case in "${CASES[@]}"; do
