@@ -42,7 +42,7 @@ func main() {
 			in := compiler.Instrument(defs[i], p.pol, layout.PolicyConfig{MinPad: 1, MaxPad: 7, Rand: r})
 			h := cache.New(cache.Westmere(), mem.New())
 			base := uint64(0x100000)
-			for _, op := range in.FrameEnterOps(base) {
+			for _, op := range in.FrameEnterOps(nil, base) {
 				if res := h.CForm(op); res.Exc != nil {
 					panic(res.Exc)
 				}

@@ -112,7 +112,9 @@ type Heap struct {
 	// quarantine holds freed-but-not-yet-reusable regions (FIFO).
 	quarantine []region
 	quarBytes  uint64
-	Stats      Stats
+	// ops is the scratch buffer every site builds its CFORMs into.
+	ops   []isa.CFORM
+	Stats Stats
 }
 
 // New creates a heap issuing its work to sink.
@@ -151,9 +153,9 @@ func (h *Heap) grow(n int) {
 	h.end += uint64(chunk)
 	h.Stats.HeapBytes += uint64(chunk)
 	if h.cfg.UseCForm && h.cfg.Protocol == ProtocolClean {
-		ops := compiler.CaliformRegionOps(start, chunk)
-		h.sink.NonMem(h.cfg.PerLineCost * uint32(len(ops)))
-		for _, op := range ops {
+		h.ops = compiler.CaliformRegionOps(h.ops[:0], start, chunk)
+		h.sink.NonMem(h.cfg.PerLineCost * uint32(len(h.ops)))
+		for _, op := range h.ops {
 			h.sink.CForm(op)
 			h.Stats.CFormsIssued++
 		}
@@ -186,29 +188,30 @@ func (h *Heap) Alloc(in *compiler.Instrumented) uint64 {
 
 	addr := h.carve(sizeClass(in.Size()))
 	if h.cfg.UseCForm {
-		h.issueSiteOps(h.allocOps(addr, in))
+		h.ops = h.allocOps(h.ops[:0], addr, in)
+		h.issueSiteOps(h.ops)
 	}
 	return addr
 }
 
-// allocOps returns the CFORMs for an allocation under the configured
+// allocOps appends the CFORMs for an allocation under the configured
 // protocol.
-func (h *Heap) allocOps(addr uint64, in *compiler.Instrumented) []isa.CFORM {
+func (h *Heap) allocOps(dst []isa.CFORM, addr uint64, in *compiler.Instrumented) []isa.CFORM {
 	if h.cfg.Protocol == ProtocolClean {
-		return in.AllocOps(addr)
+		return in.AllocOps(dst, addr)
 	}
-	return in.HookOps(addr)
+	return in.HookOps(dst, addr)
 }
 
-// freeOps returns the CFORMs for a deallocation under the configured
+// freeOps appends the CFORMs for a deallocation under the configured
 // protocol.
-func (h *Heap) freeOps(addr uint64, in *compiler.Instrumented) []isa.CFORM {
+func (h *Heap) freeOps(dst []isa.CFORM, addr uint64, in *compiler.Instrumented) []isa.CFORM {
 	if h.cfg.Protocol == ProtocolClean {
-		return in.FreeOps(addr, h.cfg.NonTemporalFree)
+		return in.FreeOps(dst, addr, h.cfg.NonTemporalFree)
 	}
-	ops := in.HookExitOps(addr)
+	ops := in.HookExitOps(dst, addr)
 	if h.cfg.NonTemporalFree {
-		for i := range ops {
+		for i := len(dst); i < len(ops); i++ {
 			ops[i].NonTemporal = true
 		}
 	}
@@ -236,7 +239,8 @@ func (h *Heap) issueSiteOps(ops []isa.CFORM) {
 func (h *Heap) Free(addr uint64, in *compiler.Instrumented) {
 	h.Stats.Frees++
 	if h.cfg.UseCForm {
-		h.issueSiteOps(h.freeOps(addr, in))
+		h.ops = h.freeOps(h.ops[:0], addr, in)
+		h.issueSiteOps(h.ops)
 	}
 	class := sizeClass(in.Size())
 	h.quarantine = append(h.quarantine, region{addr: addr, size: class})
@@ -266,10 +270,12 @@ func (h *Heap) Footprint() uint64 { return h.Stats.HeapBytes }
 // is normal by default; frames containing protected objects set their
 // security bytes on entry and clear them on return.
 type Stack struct {
-	sink  trace.Sink
-	base  uint64
-	sp    uint64
-	cfg   Config
+	sink trace.Sink
+	base uint64
+	sp   uint64
+	cfg  Config
+	// ops is the scratch buffer every frame builds its CFORMs into.
+	ops   []isa.CFORM
 	Stats Stats
 }
 
@@ -294,12 +300,8 @@ func (s *Stack) PushFrame(in *compiler.Instrumented) Frame {
 	s.sp -= size
 	s.Stats.Allocs++
 	if s.cfg.UseCForm {
-		ops := in.FrameEnterOps(s.sp)
-		s.sink.NonMem(s.cfg.PerLineCost * uint32(len(ops)))
-		for _, op := range ops {
-			s.sink.CForm(op)
-			s.Stats.CFormsIssued++
-		}
+		s.ops = in.FrameEnterOps(s.ops[:0], s.sp)
+		s.issue(s.ops)
 	}
 	return Frame{Base: s.sp, in: in}
 }
@@ -311,13 +313,18 @@ func (s *Stack) PopFrame(f Frame) {
 		panic(fmt.Sprintf("alloc: non-LIFO frame pop: %#x != sp %#x", f.Base, s.sp))
 	}
 	if s.cfg.UseCForm {
-		ops := f.in.FrameExitOps(f.Base)
-		s.sink.NonMem(s.cfg.PerLineCost * uint32(len(ops)))
-		for _, op := range ops {
-			s.sink.CForm(op)
-			s.Stats.CFormsIssued++
-		}
+		s.ops = f.in.FrameExitOps(s.ops[:0], f.Base)
+		s.issue(s.ops)
 	}
 	s.sp += uint64(sizeClass(f.in.Size()))
 	s.Stats.Frees++
+}
+
+// issue charges the per-line work and emits a frame's CFORMs.
+func (s *Stack) issue(ops []isa.CFORM) {
+	s.sink.NonMem(s.cfg.PerLineCost * uint32(len(ops)))
+	for _, op := range ops {
+		s.sink.CForm(op)
+		s.Stats.CFormsIssued++
+	}
 }

@@ -29,7 +29,7 @@ func califormedInstance(t *testing.T, pol layout.Policy, seed int64) (*cache.Hie
 	r := rand.New(rand.NewSource(seed))
 	in := compiler.Instrument(structA(), pol, layout.PolicyConfig{MinPad: 1, MaxPad: 7, Rand: r})
 	base := uint64(0x10000)
-	for _, op := range in.FrameEnterOps(base) {
+	for _, op := range in.FrameEnterOps(nil, base) {
 		if res := h.CForm(op); res.Exc != nil {
 			t.Fatal(res.Exc)
 		}

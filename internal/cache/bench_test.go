@@ -11,21 +11,34 @@ import (
 // TestTouchPathZeroAllocs pins the allocation contract of the timing
 // access path: LoadTouch and StoreTouch never allocate, whether they
 // hit in L1 or stream through every level to DRAM, and with
-// califormed lines crossing the L1 boundary (spill/fill format
-// conversion on packed scratch state).
+// califormed lines crossing the L1 boundary and cycling through DRAM
+// and back. Once warm, DRAM holds a page for every line the run
+// touches, so its mask form allocates nothing either.
 func TestTouchPathZeroAllocs(t *testing.T) {
 	h := New(Westmere(), mem.New())
-	// Caliform a few lines so spills and fills run the conversion
-	// path, not just the zero-line fast path.
-	for i := 0; i < 64; i++ {
-		addr := uint64(0x2000_0000) + uint64(i)*64
+	// Caliform lines so spills and fills carry masks, not just the
+	// zero line: the first 64 in a region that fits in L1/L2, and
+	// every line of a streamed region twice the size of the L3.
+	const streamLines = 2 * (2 << 20) / 64
+	caliform := func(addr uint64) {
 		if res := h.CForm(isa.CFORM{Base: addr, Attrs: 0xFF00, Mask: 0xFF00}); res.Exc != nil {
 			t.Fatalf("CForm setup: %v", res.Exc)
 		}
 	}
+	for i := 0; i < 64; i++ {
+		caliform(0x2000_0000 + uint64(i)*64)
+	}
+	for i := 0; i < streamLines; i++ {
+		caliform(0x4000_0000 + uint64(i)*64)
+	}
 	run := func() {
 		for i := 0; i < 4096; i++ {
 			addr := uint64(0x2000_0000) + uint64(i%2048)*64
+			h.LoadTouch(addr, 8)
+			h.StoreTouch(addr+16, 8)
+		}
+		for i := 0; i < streamLines; i++ {
+			addr := uint64(0x4000_0000) + uint64(i)*64
 			h.LoadTouch(addr, 8)
 			h.StoreTouch(addr+16, 8)
 		}
@@ -52,6 +65,25 @@ func BenchmarkTouchL1Hit(b *testing.B) {
 func BenchmarkTouchDRAMStream(b *testing.B) {
 	h := New(Westmere(), mem.New())
 	const lines = 131072 // 8MB, far past L3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.StoreTouch(0x4000_0000+uint64(i%lines)*64, 8)
+	}
+}
+
+// BenchmarkTouchDRAMStreamCaliformed is BenchmarkTouchDRAMStream over
+// califormed lines: every access fills a line that is a mask in DRAM
+// and spills a dirty califormed victim, with no data on either.
+func BenchmarkTouchDRAMStreamCaliformed(b *testing.B) {
+	h := New(Westmere(), mem.New())
+	const lines = 131072 // 8MB, far past L3
+	for i := 0; i < lines; i++ {
+		cf := isa.CFORM{Base: 0x4000_0000 + uint64(i)*64, Attrs: 0xFF00, Mask: 0xFF00}
+		if res := h.CForm(cf); res.Exc != nil {
+			b.Fatalf("CForm: %v", res.Exc)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,10 @@
 // write-allocate caches with LRU replacement. The L1 data cache holds
 // lines in califorms-bitvector format; L2, L3 and memory hold them in
 // califorms-sentinel format, with format conversion performed at the
-// L1 boundary on fills and spills (Figure 1, §5).
+// L1 boundary on fills and spills (Figure 1, §5). Below L1 a line
+// whose payload is zero travels as its 8-byte security mask: its
+// sentinel image is a pure function of the mask, so L2, L3 and memory
+// carry the mask and never run the conversion for it.
 package cache
 
 import (
@@ -91,12 +94,16 @@ type setHdr struct {
 	sigHi uint64
 	valid uint16
 	dirty uint16
-	// zero marks ways whose payload is the canonical zero line. Trace
-	// replay is dominated by Touch ops that never carry data, so most
-	// simulated lines hold all-zero payloads end to end; the flag lets
-	// every such line skip its payload reads and writes entirely (the
-	// lines array is not even touched). A zero way's slot in the lines
-	// array holds an arbitrary stale value and must never be read.
+	// zero marks ways whose payload is zero. Trace replay is dominated
+	// by Touch ops that never carry data, so most simulated lines hold
+	// all-zero payloads end to end; the flag lets every such line skip
+	// its payload reads and writes entirely (the lines array is not
+	// even touched). In L1 a zero way is the canonical zero line. In
+	// L2 and L3 it is the line Spill(Bitvector{Mask: m}), with m in
+	// the level's masks array — m == 0 being the canonical zero line —
+	// so a califormed line with no data moves as 8 bytes. A zero way's
+	// slot in the lines array holds an arbitrary stale value and must
+	// never be read.
 	zero uint16
 }
 
@@ -165,6 +172,9 @@ type level[L any] struct {
 	hdrs      []setHdr
 	tags      []uint64
 	lines     []L
+	// masks holds the security mask of each zero way (L2/L3 only; nil
+	// in L1), parallel to lines.
+	masks []cacheline.SecMask
 	// lastLine/lastSlot remember the most recent hit. The
 	// pair is self-validating (tag and valid bit are re-checked), so
 	// no invalidation hook is needed; it short-circuits the set scan
@@ -184,12 +194,15 @@ type level[L any] struct {
 type levelPool[L any] struct {
 	mu    sync.Mutex
 	pools map[[2]int]*sync.Pool
+	// masked pools (the sentinel levels) also carry a masks array.
+	masked bool
 }
 
 type levelArrays[L any] struct {
 	hdrs  []setHdr
 	tags  []uint64
 	lines []L
+	masks []cacheline.SecMask
 }
 
 func (p *levelPool[L]) pool(nsets, ways int) *sync.Pool {
@@ -224,6 +237,9 @@ func (p *levelPool[L]) get(nsets, ways int) *levelArrays[L] {
 		tags:  make([]uint64, nsets*ways),
 		lines: make([]L, nsets*ways),
 	}
+	if p.masked {
+		a.masks = make([]cacheline.SecMask, nsets*ways)
+	}
 	for i := range a.hdrs {
 		a.hdrs[i].perm = permInit
 	}
@@ -234,13 +250,13 @@ func (p *levelPool[L]) put(l *level[L]) {
 	if l == nil || l.hdrs == nil {
 		return
 	}
-	p.pool(l.nsets, l.ways).Put(&levelArrays[L]{hdrs: l.hdrs, tags: l.tags, lines: l.lines})
-	l.hdrs, l.tags, l.lines = nil, nil, nil
+	p.pool(l.nsets, l.ways).Put(&levelArrays[L]{hdrs: l.hdrs, tags: l.tags, lines: l.lines, masks: l.masks})
+	l.hdrs, l.tags, l.lines, l.masks = nil, nil, nil, nil
 }
 
 var (
 	bitvectorArrays levelPool[cacheline.Bitvector]
-	sentinelArrays  levelPool[cacheline.Sentinel]
+	sentinelArrays  = levelPool[cacheline.Sentinel]{masked: true}
 )
 
 func newLevel[L any](cfg LevelConfig, pool *levelPool[L]) *level[L] {
@@ -262,6 +278,7 @@ func newLevel[L any](cfg LevelConfig, pool *levelPool[L]) *level[L] {
 		hdrs:      a.hdrs,
 		tags:      a.tags,
 		lines:     a.lines,
+		masks:     a.masks,
 		lastSlot:  -1,
 	}
 	if n > 0 && n&(n-1) == 0 {
@@ -401,16 +418,40 @@ func (l *level[L]) placeZeroHdr(slot int, h *setHdr, way int, lineIdx uint64, di
 	l.placeMeta(slot, h, way, lineIdx, dirty, true)
 }
 
-// place and placeZero are the handle-free forms for callers that did
-// not come through acquireHdr.
-func (l *level[L]) place(slot int, lineIdx uint64, line L, dirty bool) {
-	set, way := l.setWay(slot)
-	l.placeHdr(slot, &l.hdrs[set], way, lineIdx, &line, dirty)
+// overwrite replaces the payload of a hit slot in a masked level.
+func (l *level[L]) overwrite(slot int, hd *setHdr, way int, s *L, m cacheline.SecMask, dirty bool) {
+	bit := uint16(1) << uint(way)
+	if s == nil {
+		hd.zero |= bit
+		l.masks[slot] = m
+	} else {
+		hd.zero &^= bit
+		l.lines[slot] = *s
+	}
+	if dirty {
+		hd.dirty |= bit
+	}
 }
 
-func (l *level[L]) placeZero(slot int, lineIdx uint64, dirty bool) {
-	set, way := l.setWay(slot)
-	l.placeZeroHdr(slot, &l.hdrs[set], way, lineIdx, dirty)
+// install fills an acquired miss slot of a masked level; a zero-payload
+// line leaves the payload array untouched.
+func (l *level[L]) install(slot int, hd *setHdr, way int, lineIdx uint64, s *L, m cacheline.SecMask, dirty bool) {
+	if s == nil {
+		l.placeMeta(slot, hd, way, lineIdx, dirty, true)
+		l.masks[slot] = m
+	} else {
+		l.placeHdr(slot, hd, way, lineIdx, s, dirty)
+	}
+}
+
+// lineAt returns the line held in a valid slot of a masked level, in
+// the (s, m) form: a pointer to the materialized line, or nil and the
+// zero-payload line's mask.
+func (l *level[L]) lineAt(slot int, hd *setHdr, way int) (*L, cacheline.SecMask) {
+	if hd.zero&(1<<uint(way)) != 0 {
+		return nil, l.masks[slot]
+	}
+	return &l.lines[slot], 0
 }
 
 func (l *level[L]) placeMeta(slot int, h *setHdr, way int, lineIdx uint64, dirty, zero bool) {
@@ -438,7 +479,7 @@ func (l *level[L]) placeMeta(slot int, h *setHdr, way int, lineIdx uint64, dirty
 	l.tags[slot] = lineIdx
 }
 
-// zeroAt reports whether the slot holds the canonical zero line.
+// zeroAt reports whether an L1 slot holds the canonical zero line.
 func (l *level[L]) zeroAt(slot int) bool {
 	set, way := l.setWay(slot)
 	return l.hdrs[set].zero&(1<<uint(way)) != 0
@@ -460,11 +501,6 @@ func (l *level[L]) materialize(slot int) {
 func (l *level[L]) validAt(slot int) bool {
 	set, way := l.setWay(slot)
 	return l.hdrs[set].valid&(1<<uint(way)) != 0
-}
-
-func (l *level[L]) dirtyAt(slot int) bool {
-	set, way := l.setWay(slot)
-	return l.hdrs[set].dirty&(1<<uint(way)) != 0
 }
 
 func (l *level[L]) markDirty(slot int) {

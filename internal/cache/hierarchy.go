@@ -176,32 +176,20 @@ func (h *Hierarchy) L3Stats() LevelStats { return h.l3.Stats }
 // misses and writebacks; evictions are aggregate-only, see SharedL3).
 func (h *Hierarchy) L3CoreStats() LevelStats { return *h.l3pc }
 
-// zeroSentinel is the canonical zero line, passed (read-only) where a
-// zero-flagged writeback needs a value for the non-optimized paths.
-var zeroSentinel cacheline.Sentinel
-
-// writeBackL2 installs a sentinel line into L2, cascading evictions
-// downward. Clean victims are dropped: with write-back propagation a
-// clean copy always matches the level below; victims are written back
-// from their slot before it is overwritten, so no line is ever copied
-// through an intermediate. zero marks the canonical zero line: its
-// payload is tracked as a flag and the line arrays are never touched.
-func (h *Hierarchy) writeBackL2(lineIdx uint64, s *cacheline.Sentinel, zero, dirty bool) {
+// writeBackL2 installs a line into L2, cascading evictions downward.
+// Clean victims are dropped: with write-back propagation a clean copy
+// always matches the level below; victims are written back from their
+// slot before it is overwritten, so no line is ever copied through an
+// intermediate. Here and below L1 a line is passed as (s, m): s points
+// at a materialized sentinel line, or is nil for the zero-payload line
+// Spill(Bitvector{Mask: m}), which is carried as its mask alone.
+func (h *Hierarchy) writeBackL2(lineIdx uint64, s *cacheline.Sentinel, m cacheline.SecMask, dirty bool) {
 	slot, hd, way, hit, evicted := h.l2.acquireHdr(lineIdx)
 	if hit {
-		bit := uint16(1) << uint(way)
-		if zero {
-			hd.zero |= bit
-		} else {
-			hd.zero &^= bit
-			h.l2.lines[slot] = *s
-		}
-		if dirty {
-			hd.dirty |= bit
-		}
+		h.l2.overwrite(slot, hd, way, s, m, dirty)
 		return
 	}
-	h.placeL2(slot, hd, way, evicted, lineIdx, s, zero, dirty)
+	h.placeL2(slot, hd, way, evicted, lineIdx, s, m, dirty)
 }
 
 // placeL2 fills an acquired L2 miss slot, first cascading a dirty
@@ -209,82 +197,61 @@ func (h *Hierarchy) writeBackL2(lineIdx uint64, s *cacheline.Sentinel, zero, dir
 // intermediate). hd/way are the slot's handles from acquireHdr; the
 // victim's writeback below touches only L3 and memory, so they stay
 // valid.
-func (h *Hierarchy) placeL2(slot int, hd *setHdr, way int, evicted bool, lineIdx uint64, s *cacheline.Sentinel, zero, dirty bool) {
-	bit := uint16(1) << uint(way)
-	if evicted && hd.dirty&bit != 0 {
+func (h *Hierarchy) placeL2(slot int, hd *setHdr, way int, evicted bool, lineIdx uint64, s *cacheline.Sentinel, m cacheline.SecMask, dirty bool) {
+	if evicted && hd.dirty&(1<<uint(way)) != 0 {
 		h.l2.Stats.Writebacks++
-		if hd.zero&bit != 0 {
-			h.writeBackL3(h.l2.tags[slot], &zeroSentinel, true, true)
-		} else {
-			h.writeBackL3(h.l2.tags[slot], &h.l2.lines[slot], false, true)
-		}
+		vs, vm := h.l2.lineAt(slot, hd, way)
+		h.writeBackL3(h.l2.tags[slot], vs, vm, true)
 	}
-	if zero {
-		h.l2.placeZeroHdr(slot, hd, way, lineIdx, dirty)
-	} else {
-		h.l2.placeHdr(slot, hd, way, lineIdx, s, dirty)
-	}
+	h.l2.install(slot, hd, way, lineIdx, s, m, dirty)
 }
 
-func (h *Hierarchy) writeBackL3(lineIdx uint64, s *cacheline.Sentinel, zero, dirty bool) {
+func (h *Hierarchy) writeBackL3(lineIdx uint64, s *cacheline.Sentinel, m cacheline.SecMask, dirty bool) {
 	slot, hd, way, hit, evicted := h.l3.acquireHdr(lineIdx)
 	if hit {
-		bit := uint16(1) << uint(way)
-		if zero {
-			hd.zero |= bit
-		} else {
-			hd.zero &^= bit
-			h.l3.lines[slot] = *s
-		}
-		if dirty {
-			hd.dirty |= bit
-		}
+		h.l3.overwrite(slot, hd, way, s, m, dirty)
 		return
 	}
-	h.placeL3(slot, hd, way, evicted, lineIdx, s, zero, dirty)
+	h.placeL3(slot, hd, way, evicted, lineIdx, s, m, dirty)
 }
 
 // placeL3 mirrors placeL2 one level down.
-func (h *Hierarchy) placeL3(slot int, hd *setHdr, way int, evicted bool, lineIdx uint64, s *cacheline.Sentinel, zero, dirty bool) {
-	bit := uint16(1) << uint(way)
-	if evicted && hd.dirty&bit != 0 {
+func (h *Hierarchy) placeL3(slot int, hd *setHdr, way int, evicted bool, lineIdx uint64, s *cacheline.Sentinel, m cacheline.SecMask, dirty bool) {
+	if evicted && hd.dirty&(1<<uint(way)) != 0 {
 		h.l3.Stats.Writebacks++
 		h.l3pc.Writebacks++
-		if hd.zero&bit != 0 {
-			h.mem.WriteZeroLine(h.l3.tags[slot])
-		} else {
-			h.mem.WriteLine(h.l3.tags[slot], h.l3.lines[slot])
-		}
+		h.writeBackMem(slot, hd, way)
 	}
-	if zero {
-		h.l3.placeZeroHdr(slot, hd, way, lineIdx, dirty)
+	h.l3.install(slot, hd, way, lineIdx, s, m, dirty)
+}
+
+// writeBackMem writes a valid L3 slot's line to memory.
+func (h *Hierarchy) writeBackMem(slot int, hd *setHdr, way int) {
+	if vs, vm := h.l3.lineAt(slot, hd, way); vs == nil {
+		h.mem.WriteMask(h.l3.tags[slot], vm)
 	} else {
-		h.l3.placeHdr(slot, hd, way, lineIdx, s, dirty)
+		h.mem.WriteLine(h.l3.tags[slot], *vs)
 	}
 }
 
-// fetchSentinel finds the sentinel-format line below L1, returning a
-// read-only pointer to it (plus its zero-line flag) with the
+// fetchSentinel finds the line below L1 in the (s, m) form, with the
 // accumulated latency and deepest level touched. The line is
 // installed in L2 (and L3 on a memory fetch) per write-allocate, and
-// the returned pointer aliases either the canonical zero line or the
-// line's fresh L2 slot — callers must consume it (convert or copy)
-// before issuing any further hierarchy traffic, which could displace
-// it. Every level is probed with a single combined hit-or-victim
-// scan; the miss slots acquired up front stay valid because traffic
-// to the levels below never touches the acquiring set, and the
-// install order (L3 before L2, victims written back before placement)
-// is exactly the lookup-then-insert order the two-pass implementation
-// used.
-func (h *Hierarchy) fetchSentinel(lineIdx uint64) (*cacheline.Sentinel, bool, int, int) {
+// a non-nil s aliases the line's fresh L2 slot — callers must consume
+// it (convert or copy) before issuing any further hierarchy traffic,
+// which could displace it. Every level is probed with a single
+// combined hit-or-victim scan; the miss slots acquired up front stay
+// valid because traffic to the levels below never touches the
+// acquiring set, and the install order (L3 before L2, victims written
+// back before placement) is exactly the lookup-then-insert order the
+// two-pass implementation used.
+func (h *Hierarchy) fetchSentinel(lineIdx uint64) (*cacheline.Sentinel, cacheline.SecMask, int, int) {
 	lat := h.cfg.L2.Latency + h.cfg.ExtraL2L3
 	l2slot, l2hd, l2way, hit, l2evict := h.l2.acquireHdr(lineIdx)
 	if hit {
 		h.l2.Stats.Hits++
-		if l2hd.zero&(1<<uint(l2way)) != 0 {
-			return &zeroSentinel, true, lat, LvlL2
-		}
-		return &h.l2.lines[l2slot], false, lat, LvlL2
+		s, m := h.l2.lineAt(l2slot, l2hd, l2way)
+		return s, m, lat, LvlL2
 	}
 	h.l2.Stats.Misses++
 	lat += h.cfg.L3.Latency + h.cfg.ExtraL2L3
@@ -292,34 +259,51 @@ func (h *Hierarchy) fetchSentinel(lineIdx uint64) (*cacheline.Sentinel, bool, in
 	if hit3 {
 		h.l3.Stats.Hits++
 		h.l3pc.Hits++
-		if l3hd.zero&(1<<uint(l3way)) != 0 {
-			h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &zeroSentinel, true, false)
-			return &zeroSentinel, true, lat, LvlL3
+		s, m := h.l3.lineAt(l3slot, l3hd, l3way)
+		if s == nil {
+			h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, nil, m, false)
+			return nil, m, lat, LvlL3
 		}
 		// Copy before placing: the L2 victim's writeback below may
 		// displace this very L3 slot.
-		s := h.l3.lines[l3slot]
-		h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &s, false, false)
-		return &h.l2.lines[l2slot], false, lat, LvlL3
+		line := *s
+		h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &line, 0, false)
+		return &h.l2.lines[l2slot], 0, lat, LvlL3
 	}
 	h.l3.Stats.Misses++
 	h.l3pc.Misses++
 	lat += h.cfg.MemLatency
-	s, resident := h.mem.ReadLineSparse(lineIdx)
-	if !resident {
-		h.placeL3(l3slot, l3hd, l3way, l3evict, lineIdx, &zeroSentinel, true, false)
-		h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &zeroSentinel, true, false)
-		return &zeroSentinel, true, lat, LvlMem
+	var line cacheline.Sentinel
+	m, materialized := h.mem.ReadLineMask(lineIdx, &line)
+	if !materialized {
+		h.placeL3(l3slot, l3hd, l3way, l3evict, lineIdx, nil, m, false)
+		h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, nil, m, false)
+		return nil, m, lat, LvlMem
 	}
-	h.placeL3(l3slot, l3hd, l3way, l3evict, lineIdx, &s, false, false)
-	h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &s, false, false)
-	return &h.l2.lines[l2slot], false, lat, LvlMem
+	h.placeL3(l3slot, l3hd, l3way, l3evict, lineIdx, &line, 0, false)
+	h.placeL2(l2slot, l2hd, l2way, l2evict, lineIdx, &line, 0, false)
+	return &h.l2.lines[l2slot], 0, lat, LvlMem
+}
+
+// spillToL2 converts a bitvector line to sentinel format (Algorithm 1)
+// and writes it into L2. A line with zero data skips the conversion:
+// its sentinel image is Spill(Bitvector{Mask: m}), so it travels as m.
+func (h *Hierarchy) spillToL2(lineIdx uint64, bv *cacheline.Bitvector, dirty bool) {
+	if bv.Data == (cacheline.Data{}) {
+		h.writeBackL2(lineIdx, nil, bv.Mask, dirty)
+		return
+	}
+	s, err := cacheline.Spill(*bv)
+	if err != nil {
+		// Unreachable by construction (see cacheline.FindSentinel);
+		// fail loudly rather than silently dropping protection.
+		panic("cache: " + err.Error())
+	}
+	h.writeBackL2(lineIdx, &s, 0, dirty)
 }
 
 // spillL1Victim evicts the L1 line in the given slot, converting to
-// sentinel format (Algorithm 1) and installing the result in L2.
-// Zero lines skip the conversion: the spill of an all-zero bitvector
-// line is the all-zero sentinel line.
+// sentinel format and installing the result in L2.
 func (h *Hierarchy) spillL1Victim(slot int) {
 	set, way := h.l1.setWay(slot)
 	hd := &h.l1.hdrs[set]
@@ -329,19 +313,14 @@ func (h *Hierarchy) spillL1Victim(slot int) {
 		h.l1.Stats.Writebacks++
 	}
 	if hd.zero&bit != 0 {
-		h.writeBackL2(h.l1.tags[slot], &zeroSentinel, true, dirty)
+		h.writeBackL2(h.l1.tags[slot], nil, 0, dirty)
 		return
 	}
-	s, err := cacheline.Spill(h.l1.lines[slot])
-	if err != nil {
-		// Unreachable by construction (see cacheline.FindSentinel);
-		// fail loudly rather than silently dropping protection.
-		panic("cache: " + err.Error())
-	}
-	if h.l1.lines[slot].Mask != 0 {
+	line := &h.l1.lines[slot]
+	if line.Mask != 0 {
 		h.Stats.Spills++
 	}
-	h.writeBackL2(h.l1.tags[slot], &s, false, dirty)
+	h.spillToL2(h.l1.tags[slot], line, dirty)
 }
 
 // l1Fill completes an L1 miss for a slot acquired by the caller:
@@ -352,27 +331,35 @@ func (h *Hierarchy) spillL1Victim(slot int) {
 // line is consumed (converted) before the victim spill issues any
 // L2/L3 traffic; the spill-then-place order keeps replacement
 // behavior and stats identical to the historical insert-then-spill.
+// A zero-payload line fills as Bitvector{Mask: m}, which is exactly
+// Fill(Spill(Bitvector{Mask: m})), without running the conversion.
 func (h *Hierarchy) l1Fill(lineIdx uint64, slot int, hd *setHdr, way int, evicted bool) (cacheline.SecMask, int, int) {
 	h.l1.Stats.Misses++
-	s, zero, lat, lvl := h.fetchSentinel(lineIdx)
+	s, m, lat, lvl := h.fetchSentinel(lineIdx)
 	lat += h.cfg.L1.Latency
-	if zero {
-		if evicted {
-			h.spillL1Victim(slot)
-		}
-		h.l1.placeZeroHdr(slot, hd, way, lineIdx, false)
-		return 0, lat, lvl
+	var filled cacheline.Bitvector
+	if s != nil {
+		filled = cacheline.Fill(*s)
+		m = filled.Mask
 	}
-	filled := cacheline.Fill(*s)
-	if s.Califormed {
+	// A sentinel line is califormed exactly when it decodes to a
+	// nonzero mask.
+	if m != 0 {
 		h.Stats.Fills++
 		lat += h.cfg.SpillFillLatency
 	}
 	if evicted {
 		h.spillL1Victim(slot)
 	}
-	h.l1.placeHdr(slot, hd, way, lineIdx, &filled, false)
-	return filled.Mask, lat, lvl
+	switch {
+	case s != nil:
+		h.l1.placeHdr(slot, hd, way, lineIdx, &filled, false)
+	case m != 0:
+		h.l1.placeHdr(slot, hd, way, lineIdx, &cacheline.Bitvector{Mask: m}, false)
+	default:
+		h.l1.placeZeroHdr(slot, hd, way, lineIdx, false)
+	}
+	return m, lat, lvl
 }
 
 // l1Entry returns the L1 slot for lineIdx, filling on a miss
@@ -651,9 +638,9 @@ func (h *Hierarchy) CForm(cf isa.CFORM) AccessResult {
 			h.spillL1Victim(slot)
 			h.l1.clearValid(slot)
 		}
-		s, zero, lat, lvl := h.fetchSentinel(lineIdx)
-		var bv cacheline.Bitvector
-		if !zero {
+		s, m, lat, lvl := h.fetchSentinel(lineIdx)
+		bv := cacheline.Bitvector{Mask: m}
+		if s != nil {
 			bv = cacheline.Fill(*s)
 		}
 		if fault := bv.Caliform(cacheline.SecMask(cf.Attrs), cacheline.SecMask(cf.Mask)); fault >= 0 {
@@ -663,11 +650,7 @@ func (h *Hierarchy) CForm(cf isa.CFORM) AccessResult {
 				Addr: cf.Base + uint64(fault),
 			}}
 		}
-		s2, err := cacheline.Spill(bv)
-		if err != nil {
-			panic("cache: " + err.Error())
-		}
-		h.writeBackL2(lineIdx, &s2, false, true)
+		h.spillToL2(lineIdx, &bv, true)
 		return AccessResult{Cycles: lat, Level: lvl}
 	}
 
@@ -757,27 +740,24 @@ func (h *Hierarchy) Flush() {
 		}
 	}
 	for slot := range h.l2.lines {
-		if h.l2.validAt(slot) {
-			if h.l2.dirtyAt(slot) {
-				if h.l2.zeroAt(slot) {
-					h.writeBackL3(h.l2.tags[slot], &zeroSentinel, true, true)
-				} else {
-					h.writeBackL3(h.l2.tags[slot], &h.l2.lines[slot], false, true)
-				}
+		set, way := h.l2.setWay(slot)
+		hd := &h.l2.hdrs[set]
+		if bit := uint16(1) << uint(way); hd.valid&bit != 0 {
+			if hd.dirty&bit != 0 {
+				s, m := h.l2.lineAt(slot, hd, way)
+				h.writeBackL3(h.l2.tags[slot], s, m, true)
 			}
-			h.l2.clearValid(slot)
+			hd.valid &^= bit
 		}
 	}
 	for slot := range h.l3.lines {
-		if h.l3.validAt(slot) {
-			if h.l3.dirtyAt(slot) {
-				if h.l3.zeroAt(slot) {
-					h.mem.WriteLine(h.l3.tags[slot], zeroSentinel)
-				} else {
-					h.mem.WriteLine(h.l3.tags[slot], h.l3.lines[slot])
-				}
+		set, way := h.l3.setWay(slot)
+		hd := &h.l3.hdrs[set]
+		if bit := uint16(1) << uint(way); hd.valid&bit != 0 {
+			if hd.dirty&bit != 0 {
+				h.writeBackMem(slot, hd, way)
 			}
-			h.l3.clearValid(slot)
+			hd.valid &^= bit
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cacheline"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -73,6 +74,49 @@ func (o *oracle) cform(cf isa.CFORM) (conflict bool) {
 	return false
 }
 
+// checkDRAMImage checks that after a Flush every line of [0, region)
+// reads back from memory as the sentinel image of the oracle's line:
+// Spill(Bitvector{Data: oracle data, Mask: oracle security bytes}),
+// which for an untouched line is the zero line. That is what a DRAM
+// model holding every line in sentinel format holds, whatever form
+// the model keeps the line in.
+func (o *oracle) checkDRAMImage(t *testing.T, m *mem.Memory, region uint64) {
+	t.Helper()
+	for line := uint64(0); line < region/cacheline.Size; line++ {
+		var bv cacheline.Bitvector
+		for i := 0; i < cacheline.Size; i++ {
+			a := line*cacheline.Size + uint64(i)
+			bv.Data[i] = o.data[a]
+			if o.sec[a] {
+				bv.Mask = bv.Mask.Set(i)
+			}
+		}
+		want, err := cacheline.Spill(bv)
+		if err != nil {
+			t.Fatalf("line %d: %v", line, err)
+		}
+		if got := m.ReadLine(line); got != want {
+			t.Fatalf("line %d in DRAM: got %v %x, want %v %x (oracle mask %v)",
+				line, got.Califormed, got.Data, want.Califormed, want.Data, bv.Mask)
+		}
+	}
+}
+
+// randomCForm draws a CFORM over four random bytes of a random line
+// of the region, non-temporal one time in four.
+func randomCForm(r *rand.Rand, region int) isa.CFORM {
+	line := uint64(r.Intn(region / 64))
+	var attrs, mask uint64
+	for b := 0; b < 4; b++ {
+		bit := uint64(1) << uint(r.Intn(64))
+		mask |= bit
+		if r.Intn(2) == 0 {
+			attrs |= bit
+		}
+	}
+	return isa.CFORM{Base: line * 64, Attrs: attrs, Mask: mask, NonTemporal: r.Intn(4) == 0}
+}
+
 // TestHierarchyMatchesOracle drives a long random mix of loads,
 // stores, CFORMs (temporal and non-temporal) and flushes through a
 // tiny thrash-prone hierarchy and the flat oracle, comparing every
@@ -85,7 +129,8 @@ func TestHierarchyMatchesOracle(t *testing.T) {
 		L3:         LevelConfig{Name: "L3", Size: 8 << 10, Ways: 4, Latency: 27},
 		MemLatency: 100,
 	}
-	h := New(cfg, mem.New())
+	m := mem.New()
+	h := New(cfg, m)
 	o := newOracle()
 	r := rand.New(rand.NewSource(2024))
 
@@ -118,16 +163,7 @@ func TestHierarchyMatchesOracle(t *testing.T) {
 					step, addr, res.Exc, wantBad)
 			}
 		case 7, 8: // CFORM over random bytes of a random line
-			line := uint64(r.Intn(region / 64))
-			var attrs, mask uint64
-			for b := 0; b < 4; b++ {
-				bit := uint64(1) << uint(r.Intn(64))
-				mask |= bit
-				if r.Intn(2) == 0 {
-					attrs |= bit
-				}
-			}
-			cf := isa.CFORM{Base: line * 64, Attrs: attrs, Mask: mask, NonTemporal: r.Intn(4) == 0}
+			cf := randomCForm(r, region)
 			wantBad := o.cform(cf)
 			res := h.CForm(cf)
 			if (res.Exc != nil) != wantBad {
@@ -142,14 +178,83 @@ func TestHierarchyMatchesOracle(t *testing.T) {
 	}
 
 	// Final sweep: every byte and every security flag must agree
-	// after a flush (full spill of all dirty state to memory).
+	// after a flush (full spill of all dirty state to memory), both in
+	// DRAM and read back through the hierarchy.
 	h.Flush()
+	o.checkDRAMImage(t, m, region)
 	for addr := uint64(0); addr < region; addr++ {
 		want, wantBad := o.load(addr, 1)
 		got, res := h.Load(addr, 1)
 		if (res.Exc != nil) != wantBad || got[0] != want[0] {
 			t.Fatalf("final sweep %#x: hier=(%#x,%v) oracle=(%#x,%v)",
 				addr, got[0], res.Exc != nil, want[0], wantBad)
+		}
+	}
+}
+
+// TestTouchHierarchyMatchesOracle is the touch-only twin of
+// TestHierarchyMatchesOracle, the op mix trace replay drives: timing
+// loads and stores that carry no data, temporal and non-temporal
+// CFORMs, and occasional flushes. The region is four times the tiny
+// L3, so califormed zero-payload lines keep cycling through every
+// level and DRAM; every exception must agree with the oracle's
+// security map, and after a final flush DRAM must hold the oracle's
+// image of every line.
+func TestTouchHierarchyMatchesOracle(t *testing.T) {
+	cfg := Config{
+		L1:         LevelConfig{Name: "L1D", Size: 512, Ways: 2, Latency: 4},
+		L2:         LevelConfig{Name: "L2", Size: 2 << 10, Ways: 2, Latency: 7},
+		L3:         LevelConfig{Name: "L3", Size: 8 << 10, Ways: 4, Latency: 27},
+		MemLatency: 100,
+	}
+	m := mem.New()
+	h := New(cfg, m)
+	o := newOracle()
+	r := rand.New(rand.NewSource(2025))
+
+	const region = 32 << 10 // 512 lines
+	for step := 0; step < 100000; step++ {
+		switch r.Intn(10) {
+		case 0, 1, 2, 3: // load
+			addr := uint64(r.Intn(region - 16))
+			n := 1 + r.Intn(16)
+			_, wantBad := o.load(addr, n)
+			if res := h.LoadTouch(addr, n); (res.Exc != nil) != wantBad {
+				t.Fatalf("step %d: load touch %#x+%d exception mismatch: hier=%v oracle=%v",
+					step, addr, n, res.Exc, wantBad)
+			}
+		case 4, 5, 6: // store
+			addr := uint64(r.Intn(region - 16))
+			n := 1 + r.Intn(16)
+			_, wantBad := o.load(addr, n)
+			if res := h.StoreTouch(addr, n); (res.Exc != nil) != wantBad {
+				t.Fatalf("step %d: store touch %#x+%d exception mismatch: hier=%v oracle=%v",
+					step, addr, n, res.Exc, wantBad)
+			}
+		case 7, 8:
+			cf := randomCForm(r, region)
+			wantBad := o.cform(cf)
+			if res := h.CForm(cf); (res.Exc != nil) != wantBad {
+				t.Fatalf("step %d: cform %+v exception mismatch: hier=%v oracle=%v",
+					step, cf, res.Exc, wantBad)
+			}
+		case 9:
+			if r.Intn(50) == 0 {
+				h.Flush()
+			}
+		}
+	}
+	h.Flush()
+	o.checkDRAMImage(t, m, region)
+	for line := uint64(0); line < region/64; line++ {
+		var want cacheline.SecMask
+		for i := 0; i < 64; i++ {
+			if o.sec[line*64+uint64(i)] {
+				want = want.Set(i)
+			}
+		}
+		if got := h.SecMaskAt(line * 64); got != want {
+			t.Fatalf("line %d mask after flush: hier=%v oracle=%v", line, got, want)
 		}
 	}
 }

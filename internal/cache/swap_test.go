@@ -12,7 +12,9 @@ import (
 // lines through the hierarchy, flush to memory (ECC spare bits),
 // swap the page out (metadata packed into the OS-reserved region),
 // swap back in, and verify both data and byte-granular blacklisting
-// survive the full journey.
+// survive the full journey. Odd lines are CFORM-only: their payload
+// stays zero, so they reach DRAM in mask form, and the swap must carry
+// them like any materialized line.
 func TestMetadataSurvivesSwapCycle(t *testing.T) {
 	m := mem.New()
 	h := New(Westmere(), m)
@@ -39,7 +41,9 @@ func TestMetadataSurvivesSwapCycle(t *testing.T) {
 			dataOff = (dataOff + 1) % 64
 		}
 		v := byte(1 + r.Intn(255))
-		if res := h.Store(lineBase+uint64(dataOff), []byte{v}); res.Exc != nil {
+		if line%2 == 1 {
+			v = 0
+		} else if res := h.Store(lineBase+uint64(dataOff), []byte{v}); res.Exc != nil {
 			t.Fatal(res.Exc)
 		}
 		expects = append(expects,
@@ -50,6 +54,9 @@ func TestMetadataSurvivesSwapCycle(t *testing.T) {
 	// The OS flushes before reclaiming the frame (our model's
 	// equivalent of shooting down the page's cached lines).
 	h.Flush()
+	if got := m.Footprint(); got != mem.LinesPerPage {
+		t.Fatalf("DRAM holds %d lines after flush, want the page's %d", got, mem.LinesPerPage)
+	}
 	if err := m.SwapOut(page); err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,43 @@ func TestSpillFillQuick(t *testing.T) {
 	}
 }
 
+// TestSpillFillZeroDataMaskForm checks the identity the cache model's
+// mask form rests on: a line with zero data is fully described by its
+// security mask, Fill(Spill(Bitvector{Mask: m})) == Bitvector{Mask: m},
+// and its sentinel image is califormed exactly when m != 0.
+// TestSpillFillQuick draws random data, so it almost never covers the
+// zero payload.
+func TestSpillFillZeroDataMaskForm(t *testing.T) {
+	check := func(m SecMask) bool {
+		s, err := Spill(Bitvector{Mask: m})
+		if err != nil {
+			t.Errorf("mask %v: %v", m, err)
+			return false
+		}
+		if s.Califormed != (m != 0) {
+			t.Errorf("mask %v: Califormed = %v", m, s.Califormed)
+			return false
+		}
+		if got := Fill(s); got != (Bitvector{Mask: m}) {
+			t.Errorf("mask %v: Fill(Spill) = %v %x", m, got.Mask, got.Data)
+			return false
+		}
+		return true
+	}
+	check(0)
+	check(SecMask(^uint64(0)))
+	for i := 0; i < Size; i++ {
+		check(SecMask(0).Set(i))
+		for j := i + 1; j < Size; j++ {
+			check(SecMask(0).Set(i).Set(j))
+		}
+	}
+	prop := func(m uint64) bool { return check(SecMask(m)) }
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFindSentinelNeverCollides(t *testing.T) {
 	prop := func(raw [Size]byte) bool {
 		s, err := FindSentinel(Data(raw))

@@ -7,6 +7,8 @@
 package compiler
 
 import (
+	"iter"
+
 	"repro/internal/cacheline"
 	"repro/internal/isa"
 	"repro/internal/layout"
@@ -67,20 +69,22 @@ type lineSpan struct {
 	lo, hi   int // object-relative offsets, hi exclusive
 }
 
-func lineSpans(base uint64, size int) []lineSpan {
-	var out []lineSpan
-	off := 0
-	for off < size {
-		addr := base + uint64(off)
-		lineBase := addr &^ uint64(cacheline.Size-1)
-		n := cacheline.Size - int(addr&uint64(cacheline.Size-1))
-		if n > size-off {
-			n = size - off
+// lineSpans yields the spans of an object of size bytes placed at
+// base, one per cache line it touches, in address order.
+func lineSpans(base uint64, size int) iter.Seq[lineSpan] {
+	return func(yield func(lineSpan) bool) {
+		for off := 0; off < size; {
+			addr := base + uint64(off)
+			n := cacheline.Size - int(addr&uint64(cacheline.Size-1))
+			if n > size-off {
+				n = size - off
+			}
+			if !yield(lineSpan{lineBase: addr &^ uint64(cacheline.Size-1), lo: off, hi: off + n}) {
+				return
+			}
+			off += n
 		}
-		out = append(out, lineSpan{lineBase: lineBase, lo: off, hi: off + n})
-		off += n
 	}
-	return out
 }
 
 // maskFor builds the per-line bit vectors for the object placed at
@@ -120,68 +124,66 @@ func extractBits(words []uint64, start, n int) uint64 {
 	return v
 }
 
-// AllocOps returns the CFORM instructions a clean-before-use heap
+// The site-op builders below append their CFORMs to dst and return
+// the extended slice, so an allocator can build every site's ops into
+// one reused buffer.
+
+// AllocOps appends the CFORM instructions a clean-before-use heap
 // issues when the object is allocated at base (§6.1): free memory is
 // fully califormed, so allocation *unsets* the security state of the
 // object's legitimate data bytes, leaving intra-object security bytes
 // (and everything outside the object) blacklisted.
-func (in *Instrumented) AllocOps(base uint64) []isa.CFORM {
-	spans := lineSpans(base, in.Layout.Size)
-	ops := make([]isa.CFORM, 0, len(spans))
-	for _, sp := range spans {
-		dataMask, _ := in.maskFor(sp, base)
-		if dataMask == 0 {
-			continue
+func (in *Instrumented) AllocOps(dst []isa.CFORM, base uint64) []isa.CFORM {
+	for sp := range lineSpans(base, in.Layout.Size) {
+		if dataMask, _ := in.maskFor(sp, base); dataMask != 0 {
+			dst = append(dst, isa.CFORM{Base: sp.lineBase, Attrs: 0, Mask: dataMask})
 		}
-		ops = append(ops, isa.CFORM{Base: sp.lineBase, Attrs: 0, Mask: dataMask})
 	}
-	return ops
+	return dst
 }
 
-// FreeOps returns the CFORM instructions issued on deallocation under
+// FreeOps appends the CFORM instructions issued on deallocation under
 // clean-before-use: every data byte of the object returns to the
 // security state (and is zeroed by the hardware, §7.2), providing
 // temporal safety for the freed region. Set nonTemporal to use the
 // streaming CFORM variant that bypasses the L1 (§6.1 footnote).
-func (in *Instrumented) FreeOps(base uint64, nonTemporal bool) []isa.CFORM {
-	spans := lineSpans(base, in.Layout.Size)
-	ops := make([]isa.CFORM, 0, len(spans))
-	for _, sp := range spans {
-		dataMask, _ := in.maskFor(sp, base)
-		if dataMask == 0 {
-			continue
+func (in *Instrumented) FreeOps(dst []isa.CFORM, base uint64, nonTemporal bool) []isa.CFORM {
+	for sp := range lineSpans(base, in.Layout.Size) {
+		if dataMask, _ := in.maskFor(sp, base); dataMask != 0 {
+			dst = append(dst, isa.CFORM{Base: sp.lineBase, Attrs: dataMask, Mask: dataMask, NonTemporal: nonTemporal})
 		}
-		ops = append(ops, isa.CFORM{Base: sp.lineBase, Attrs: dataMask, Mask: dataMask, NonTemporal: nonTemporal})
 	}
-	return ops
+	return dst
 }
 
-// FrameEnterOps returns the CFORM instructions for a dirty-before-use
+// FrameEnterOps appends the CFORM instructions for a dirty-before-use
 // stack frame (§6.1): stack memory is normally un-califormed, so on
 // function entry only the intra-object security bytes are set.
-func (in *Instrumented) FrameEnterOps(base uint64) []isa.CFORM {
-	spans := lineSpans(base, in.Layout.Size)
-	var ops []isa.CFORM
-	for _, sp := range spans {
-		_, secMask := in.maskFor(sp, base)
-		if secMask == 0 {
-			continue
+func (in *Instrumented) FrameEnterOps(dst []isa.CFORM, base uint64) []isa.CFORM {
+	for sp := range lineSpans(base, in.Layout.Size) {
+		if _, secMask := in.maskFor(sp, base); secMask != 0 {
+			dst = append(dst, isa.CFORM{Base: sp.lineBase, Attrs: secMask, Mask: secMask})
 		}
-		ops = append(ops, isa.CFORM{Base: sp.lineBase, Attrs: secMask, Mask: secMask})
 	}
-	return ops
+	return dst
 }
 
-// FrameExitOps undoes FrameEnterOps on function return.
-func (in *Instrumented) FrameExitOps(base uint64) []isa.CFORM {
-	ops := in.FrameEnterOps(base)
-	for i := range ops {
+// FrameExitOps appends the ops that undo FrameEnterOps on function
+// return.
+func (in *Instrumented) FrameExitOps(dst []isa.CFORM, base uint64) []isa.CFORM {
+	return clearAttrs(in.FrameEnterOps(dst, base), len(dst))
+}
+
+// clearAttrs turns the set ops appended after ops[:from] into the
+// matching unset ops.
+func clearAttrs(ops []isa.CFORM, from int) []isa.CFORM {
+	for i := from; i < len(ops); i++ {
 		ops[i].Attrs = 0
 	}
 	return ops
 }
 
-// HookOps returns the allocation-site CFORMs under the paper's
+// HookOps appends the allocation-site CFORMs under the paper's
 // measured accounting (§8.2): the opportunistic policy califorms
 // every compound-type allocation — one CFORM (emulated by one dummy
 // store) per cache line the object spans, even when a line carries no
@@ -189,43 +191,40 @@ func (in *Instrumented) FrameExitOps(base uint64) []isa.CFORM {
 // The full and intelligent policies instrument only types that carry
 // security bytes, so lines without any are skipped and scalar-only
 // types cost nothing.
-func (in *Instrumented) HookOps(base uint64) []isa.CFORM {
+func (in *Instrumented) HookOps(dst []isa.CFORM, base uint64) []isa.CFORM {
 	if in.Policy == layout.Opportunistic {
-		spans := lineSpans(base, in.Layout.Size)
-		ops := make([]isa.CFORM, 0, len(spans))
-		for _, sp := range spans {
+		for sp := range lineSpans(base, in.Layout.Size) {
 			_, secMask := in.maskFor(sp, base)
-			ops = append(ops, isa.CFORM{Base: sp.lineBase, Attrs: secMask, Mask: secMask})
+			dst = append(dst, isa.CFORM{Base: sp.lineBase, Attrs: secMask, Mask: secMask})
 		}
-		return ops
+		return dst
 	}
-	return in.FrameEnterOps(base)
+	return in.FrameEnterOps(dst, base)
 }
 
 // HookExitOps mirrors HookOps for deallocation sites.
-func (in *Instrumented) HookExitOps(base uint64) []isa.CFORM {
-	ops := in.HookOps(base)
-	for i := range ops {
-		ops[i].Attrs = 0
-	}
-	return ops
+func (in *Instrumented) HookExitOps(dst []isa.CFORM, base uint64) []isa.CFORM {
+	return clearAttrs(in.HookOps(dst, base), len(dst))
 }
 
-// CaliformRegionOps blacklists an entire raw region (used by the heap
-// when fresh pages enter the clean-before-use pool, and by REST-style
-// inter-object redzones). The region must be line-aligned in base and
-// a multiple of the line size.
-func CaliformRegionOps(base uint64, size int) []isa.CFORM {
-	var ops []isa.CFORM
+// CaliformRegionOps appends the ops that blacklist an entire raw
+// region (used by the heap when fresh pages enter the clean-before-use
+// pool, and by REST-style inter-object redzones). The region must be
+// line-aligned in base and a multiple of the line size.
+func CaliformRegionOps(dst []isa.CFORM, base uint64, size int) []isa.CFORM {
 	for off := 0; off < size; off += cacheline.Size {
-		ops = append(ops, isa.CFORM{Base: base + uint64(off), Attrs: ^uint64(0), Mask: ^uint64(0)})
+		dst = append(dst, isa.CFORM{Base: base + uint64(off), Attrs: ^uint64(0), Mask: ^uint64(0)})
 	}
-	return ops
+	return dst
 }
 
 // LinesTouched returns how many cache lines an object at base spans;
 // the software overhead of califorming is one CFORM (emulated in the
 // paper by one dummy store) per touched line.
 func (in *Instrumented) LinesTouched(base uint64) int {
-	return len(lineSpans(base, in.Layout.Size))
+	n := 0
+	for range lineSpans(base, in.Layout.Size) {
+		n++
+	}
+	return n
 }

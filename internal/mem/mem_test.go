@@ -102,3 +102,74 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("stats = %+v", m.Stats)
 	}
 }
+
+// TestMaskFormLines checks that a zero-payload line written as its
+// mask reads back, counts and swaps exactly as its sentinel image
+// Spill(Bitvector{Mask: m}) would, and that the two forms of a line
+// replace each other.
+func TestMaskFormLines(t *testing.T) {
+	m := New()
+	mask := cacheline.SecMask(0xF0F0_0000_0000_0301)
+	image, err := cacheline.Spill(cacheline.Bitvector{Mask: mask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uint64(7) * LinesPerPage
+
+	m.WriteMask(base+1, mask)
+	if s, resident := m.ReadLineSparse(base + 1); !resident || s != image {
+		t.Fatalf("mask line reads (%v, %v), want its sentinel image", s, resident)
+	}
+	var dst cacheline.Sentinel
+	if mk, materialized := m.ReadLineMask(base+1, &dst); materialized || mk != mask {
+		t.Fatalf("ReadLineMask = (%v, materialized %v), want the mask", mk, materialized)
+	}
+	if m.Footprint() != 1 {
+		t.Fatalf("footprint %d, want 1", m.Footprint())
+	}
+	m.WriteMask(base+1, 0)
+	if _, resident := m.ReadLineSparse(base + 1); resident || m.Footprint() != 0 {
+		t.Fatal("mask 0 must leave the zero line, not resident")
+	}
+
+	// A materialized line and a mask line replace each other.
+	var d cacheline.Data
+	d[9] = 0x5a
+	m.WriteLine(base+2, cacheline.Sentinel{Data: d})
+	m.WriteMask(base+2, mask)
+	if got := m.ReadLine(base + 2); got != image || m.Footprint() != 1 {
+		t.Fatalf("mask write over a materialized line: got %v, footprint %d", got, m.Footprint())
+	}
+	m.WriteLine(base+2, cacheline.Sentinel{Data: d})
+	if got := m.ReadLine(base + 2); got.Data != d || got.Califormed || m.Footprint() != 1 {
+		t.Fatalf("line write over a mask line: got %v, footprint %d", got, m.Footprint())
+	}
+	m.WriteMask(base+3, mask)
+	m.WriteLine(base+3, cacheline.Sentinel{})
+	if _, resident := m.ReadLineSparse(base + 3); resident {
+		t.Fatal("zero line write must clear a mask line")
+	}
+
+	// Swap carries mask lines; the page is writable again after
+	// swap-in.
+	m.WriteMask(base+4, mask)
+	if err := m.SwapOut(7); err != nil {
+		t.Fatal(err)
+	}
+	if m.Footprint() != 0 {
+		t.Fatalf("swapped-out page leaves %d lines resident", m.Footprint())
+	}
+	if err := m.SwapIn(7); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ReadLine(base + 4); got != image {
+		t.Fatalf("mask line across swap: got %v, want its image", got)
+	}
+	if got := m.ReadLine(base + 2); got.Data != d {
+		t.Fatal("data line lost across swap")
+	}
+	m.WriteMask(base+5, mask)
+	if m.Footprint() != 3 {
+		t.Fatalf("footprint after swap-in and a mask write = %d, want 3", m.Footprint())
+	}
+}
