@@ -224,6 +224,23 @@ func TestInjectedPanicsExitPartial(t *testing.T) {
 	}
 }
 
+// TestFailedMixUnitsExitPartial: a mix unit that fails leaves a
+// FAILED row, not a crash. With every cell panicking, the mix
+// experiments still render their tables around the failed units, and
+// the run exits 3 with the FAILED-cells table in-band.
+func TestFailedMixUnitsExitPartial(t *testing.T) {
+	for _, exp := range []string{"mix2", "rate4"} {
+		code, out, stderr := runCLI("-exp", exp, "-visits", "100", "-workers", "2", "-format", "json",
+			"-fault-seed", "1", "-fault-rate", "1", "-fault-points", "cell.panic")
+		if code != exitPartial {
+			t.Fatalf("%s: all-cells-failed run exited %d, want %d\n%s", exp, code, exitPartial, stderr)
+		}
+		if !strings.Contains(out, harness.FailedTitle) || !strings.Contains(out, "mix/") {
+			t.Fatalf("%s: report lacks the failed mix units:\n%s", exp, out)
+		}
+	}
+}
+
 // TestFaultySweepConvergesOnWarmStore: the chaos error model end to
 // end. Under write faults and cell panics the run exits partial but
 // the store never serves a corrupted entry; re-running healthy against

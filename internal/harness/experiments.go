@@ -7,6 +7,7 @@ package harness
 // wherever the paper states them.
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/attack"
@@ -395,25 +396,44 @@ func securityRun(_ Params, pool *Pool) []Result {
 	}
 }
 
-// ablationsRun runs the five design-choice sweeps of DESIGN.md §4 as
-// independent units, each point through the pool's store. The sweeps
-// stay pinned to the Table 3 machine regardless of Params.Machine:
-// they are design-choice studies anchored to the paper's
-// configuration, not machine sweeps.
+// ablationsRun serves the five design-choice sweeps of DESIGN.md §4
+// as the cells of one stream table, then folds each sweep's rows. A
+// run two sweeps share is one cell (points are deduplicated by
+// sim.RunKey), and points that differ only in their machine share one
+// generation pass. The sweeps stay pinned to the Table 3 machine
+// regardless of Params.Machine: they are design-choice studies
+// anchored to the paper's configuration, not machine sweeps.
 func ablationsRun(p Params, pool *Pool) []Result {
-	sweeps := sim.AblationSweeps()
+	sweeps := sim.Ablations(p.Visits)
+	var cells []cellRun
+	cellOf := make(map[string]int)       // run key → cell
+	points := make([][]int, len(sweeps)) // points[a][i]: the cell of sweep a's point i
+	for a, sweep := range sweeps {
+		for _, pt := range sweep.Points {
+			key := sim.RunKey(pt.Spec, pt.RC)
+			if _, ok := cellOf[key]; !ok {
+				cellOf[key] = len(cells)
+				cells = append(cells, cellRun{spec: pt.Spec, rc: pt.RC})
+			}
+			points[a] = append(points[a], cellOf[key])
+		}
+	}
+	results := make([]sim.Result, len(cells))
+	newTable(pool, false).serve(cells, func(c int) string {
+		sum := sha256.Sum256([]byte(sim.RunKey(cells[c].spec, cells[c].rc)))
+		return fmt.Sprintf("ablation/%s/%x", cells[c].spec.Name, sum[:4])
+	}, func(c int, r sim.Result) { results[c] = r })
+
 	out := make([]Result, len(sweeps))
-	pool.Map(len(sweeps), func(i int) {
-		a := sweeps[i](p.Visits, pool.runDirect)
-		t := Result{
-			Kind:    KindTable,
-			Title:   "Ablation: " + a.Name,
-			Headers: []string{"config", "cycles", "vs first", "note"},
+	for a, sweep := range sweeps {
+		rs := make([]sim.Result, len(points[a]))
+		for i, c := range points[a] {
+			rs[i] = results[c]
 		}
-		for _, row := range a.Rows {
-			t.Rows = append(t.Rows, []string{row.Label, fmt.Sprintf("%.0f", row.Cycles), stats.Pct(row.Slowdown), row.Note})
+		out[a] = Result{Kind: KindTable, Title: "Ablation: " + sweep.Name, Headers: []string{"config", "cycles", "vs first", "note"}}
+		for _, row := range sweep.Rows(rs) {
+			out[a].Rows = append(out[a].Rows, []string{row.Label, fmt.Sprintf("%.0f", row.Cycles), stats.Pct(row.Slowdown), row.Note})
 		}
-		out[i] = t
-	})
+	}
 	return out
 }

@@ -28,8 +28,12 @@ import (
 // CellError is one failed run unit. Stack is diagnostic only: it goes
 // to stderr, never into emitter output (addresses are nondeterministic).
 type CellError struct {
-	Cell  string `json:"cell"`  // deterministic cell coordinates
-	Stage string `json:"stage"` // capture | replay | direct | mix | task
+	Cell string `json:"cell"` // deterministic cell coordinates
+	// Stage is where the cell failed: "capture" (its stream's
+	// generation pass), "replay" (its replay of a stored recording),
+	// "mix" (a multicore mix unit) or "task" (a panic past every guard,
+	// caught by the pool's backstop).
+	Stage string `json:"stage"`
 	Err   string `json:"error"`
 	Stack string `json:"-"`
 }

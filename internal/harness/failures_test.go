@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -191,8 +194,8 @@ func TestWatchdogTimesOutRunawayCells(t *testing.T) {
 
 func TestGenerousWatchdogIsByteTransparent(t *testing.T) {
 	// A watchdog nothing trips must not perturb results: the guard
-	// chunks replay and wraps sinks, but the op streams — and therefore
-	// every number — must be identical.
+	// wraps sinks, but the op streams — and therefore every number —
+	// must be identical.
 	m := smallMatrix()
 	want := m.Run(NewPool(2))
 	sim.SetCellTimeout(time.Hour)
@@ -206,52 +209,113 @@ func TestGenerousWatchdogIsByteTransparent(t *testing.T) {
 	}
 }
 
-func TestInjectedPanicsFailDirectRunsPerPoint(t *testing.T) {
-	// The ablation points are direct runs, outside any Matrix or Mix:
-	// at rate 1 each must fail under its own key-derived name while
-	// every sweep keeps all its rows, nothing reaches the pool's
-	// backstop, and progress completes.
+// TestWatchdogCoversReplaysAndMixUnits: the watchdog guards every
+// simulation loop, not only generation passes. Over a store that holds
+// recordings but no results, every Matrix cell replays and a 1ns budget
+// fails each at stage replay; over a store that holds a mix's solo
+// results and recordings but no units, every unit fails at stage mix.
+// A 1h budget leaves both byte-identical to the unguarded runs.
+func TestWatchdogCoversReplaysAndMixUnits(t *testing.T) {
+	t.Cleanup(func() { sim.SetCellTimeout(0) })
+	m := smallMatrix()
+	mx := lostRecordingsMix()
+	pool := NewPool(2)
+	s := withStore(t, pool)
+	wantM := m.Run(pool)
+	wantMix := mixTables(mx.Run(pool))
+
+	for _, limit := range []time.Duration{time.Nanosecond, time.Hour} {
+		for _, kind := range []string{store.KindRun, store.KindMix} {
+			if err := os.RemoveAll(filepath.Join(s.Dir(), store.CodeVersion, kind)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The solo results come back for the mix; only its units run.
+		mx.Run(pool)
+		if err := os.RemoveAll(filepath.Join(s.Dir(), store.CodeVersion, store.KindMix)); err != nil {
+			t.Fatal(err)
+		}
+		sim.SetCellTimeout(limit)
+		fresh := NewPool(2)
+		fresh.SetStore(s)
+		gotM := m.Run(fresh)
+		gotMix := mixTables(mx.Run(fresh))
+		failed := fresh.drainPending()
+		sim.SetCellTimeout(0)
+		if n := fresh.GenPasses(); n != 0 {
+			t.Fatalf("limit %s: %d generation passes over stored recordings, want 0", limit, n)
+		}
+		if limit == time.Hour {
+			if len(failed) != 0 {
+				t.Fatalf("1h watchdog failed cells: %v", failed)
+			}
+			if !reflect.DeepEqual(wantM.Base, gotM.Base) || !reflect.DeepEqual(wantM.Runs, gotM.Runs) {
+				t.Fatal("an untripped watchdog changed replayed results")
+			}
+			if !reflect.DeepEqual(wantMix, gotMix) {
+				t.Fatal("an untripped watchdog changed mix tables")
+			}
+			continue
+		}
+		stages := map[string]int{}
+		for _, ce := range failed {
+			if want := "cell exceeded -cell-timeout=1ns"; ce.Err != want {
+				t.Fatalf("%s: timeout error = %q, want %q", ce.Cell, ce.Err, want)
+			}
+			stages[ce.Stage]++
+		}
+		// Six units: two core counts × the baseline and two seeds.
+		if want := map[string]int{"replay": len(m.Cells()), "mix": 6}; !reflect.DeepEqual(stages, want) {
+			t.Fatalf("1ns watchdog failed %v, want %v", stages, want)
+		}
+	}
+}
+
+// TestInjectedPanicsFailEachAblationRunOnce: the ablation points are
+// the cells of one stream table. At rate 1 every capture fails, so each
+// distinct run fails exactly once under its own key-derived name at
+// stage capture, while every sweep keeps all its rows, nothing reaches
+// the pool's backstop, and progress completes.
+func TestInjectedPanicsFailEachAblationRunOnce(t *testing.T) {
 	armFaults(t, faultinject.Config{Seed: 1, Rate: 1, Points: []string{"cell.panic"}})
 	const visits = 200
-	var points []int
+	sweeps := sim.Ablations(visits)
 	keys := map[string]bool{}
-	for _, sweep := range sim.AblationSweeps() {
-		n := 0
-		sweep(visits, func(spec workload.Spec, rc sim.RunConfig) sim.Result {
-			n++
-			keys[sim.RunKey(spec, rc)] = true
-			return sim.Result{}
-		})
-		points = append(points, n)
+	for _, a := range sweeps {
+		for _, pt := range a.Points {
+			keys[sim.RunKey(pt.Spec, pt.RC)] = true
+		}
+	}
+	if len(keys) != 16 {
+		t.Fatalf("%d distinct ablation runs, want 16", len(keys))
 	}
 
 	e, _ := Get("ablations")
 	pool := NewPool(2)
 	rs := Run(e, Params{Visits: visits}, pool)
-	if len(rs) != len(points)+1 || rs[len(rs)-1].Title != FailedTitle {
-		t.Fatalf("got %d records, want %d sweep tables and a FAILED table", len(rs), len(points))
+	if len(rs) != len(sweeps)+1 || rs[len(rs)-1].Title != FailedTitle {
+		t.Fatalf("got %d records, want %d sweep tables and a FAILED table", len(rs), len(sweeps))
 	}
-	total, names := 0, map[string]bool{}
-	for i, n := range points {
-		if len(rs[i].Rows) != n {
-			t.Errorf("%s: %d rows, want %d", rs[i].Title, len(rs[i].Rows), n)
+	for i, a := range sweeps {
+		if len(rs[i].Rows) != len(a.Points) {
+			t.Errorf("%s: %d rows, want %d", rs[i].Title, len(rs[i].Rows), len(a.Points))
 		}
-		total += n
 	}
 	failed := rs[len(rs)-1].Rows
-	if len(failed) != total {
-		t.Fatalf("%d failed points, want %d (one per point)", len(failed), total)
+	if len(failed) != len(keys) {
+		t.Fatalf("%d failed runs, want %d (one per distinct run)", len(failed), len(keys))
 	}
+	names := map[string]bool{}
 	for _, row := range failed {
-		if !strings.HasPrefix(row[0], "direct/") || row[1] != "direct" || row[2] != "injected panic at cell.panic" {
-			t.Fatalf("failure row %q, want a named direct-run failure", row)
+		if !strings.HasPrefix(row[0], "ablation/") || row[1] != "capture" || row[2] != "injected panic at cell.panic" {
+			t.Fatalf("failure row %q, want a named ablation capture failure", row)
 		}
 		names[row[0]] = true
 	}
 	if len(names) != len(keys) {
 		t.Fatalf("%d distinct failure names for %d distinct run keys", len(names), len(keys))
 	}
-	if done, total := pool.Progress(); done != total {
-		t.Fatalf("progress %d/%d after the sweep", done, total)
+	if done, total := pool.Progress(); done != total || total != uint64(len(keys)) {
+		t.Fatalf("progress %d/%d after the sweep, want %d/%d", done, total, len(keys), len(keys))
 	}
 }

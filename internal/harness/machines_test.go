@@ -52,48 +52,48 @@ func TestMachineAxisExpansion(t *testing.T) {
 }
 
 // TestMachineStaysOutOfTraceKey proves cross-machine stream sharing at
-// the key level: cells that differ only in their machine column — any
-// machine column, any config — share a trace key, so a machine axis
-// can never add generation work.
+// the identity level: cells that differ only in their machine column —
+// any machine column, any config — share a stream identity
+// (sim.StreamOf), so a machine axis can never add generation work.
 func TestMachineStaysOutOfTraceKey(t *testing.T) {
 	m := twoMachineMatrix(100)
-	keyOf := func(cell Cell) traceKey { return m.traceKey(0, cell) }
+	idOf := func(cell Cell) sim.StreamID { return sim.StreamOf(m.Benches[cell.Bench], m.Config(cell)) }
 	for c := -1; c < len(m.Configs); c++ {
 		a := Cell{Bench: 0, Config: c, Machine: 0}
 		b := Cell{Bench: 0, Config: c, Machine: 1}
-		if keyOf(a) != keyOf(b) {
-			t.Fatalf("config %d: machine column entered the trace key", c)
+		if idOf(a) != idOf(b) {
+			t.Fatalf("config %d: machine column entered the stream identity", c)
 		}
 	}
 	// The machine axis shares streams; everything layout-relevant
 	// still splits them.
-	if keyOf(Cell{Bench: 0, Config: 0, Machine: 0}) == keyOf(Cell{Bench: 0, Config: 1, Machine: 0}) {
-		t.Fatal("different configs must not share a trace key")
+	if idOf(Cell{Bench: 0, Config: 0, Machine: 0}) == idOf(Cell{Bench: 0, Config: 1, Machine: 0}) {
+		t.Fatal("different configs must not share a stream identity")
 	}
 }
 
 // TestMachinesAxisSharesCapture is the acceptance referee of the
-// tentpole: a matrix swept over M machines performs exactly one
-// workload generation pass per distinct trace key — the machine axis
-// multiplies replay consumers, never kernel/allocator work.
+// machine axis: a matrix swept over M machines performs exactly one
+// workload generation pass per distinct stream identity — the machine
+// axis multiplies replay consumers, never kernel/allocator work.
 func TestMachinesAxisSharesCapture(t *testing.T) {
 	m := twoMachineMatrix(150)
 	cells := m.Cells()
-	keys := make(map[traceKey]bool)
-	for i, cell := range cells {
-		keys[m.traceKey(i, cell)] = true
+	ids := make(map[sim.StreamID]bool)
+	for _, cell := range cells {
+		ids[sim.StreamOf(m.Benches[cell.Bench], m.Config(cell))] = true
 	}
-	if len(keys)*2 != len(cells) {
-		t.Fatalf("expected every key to span both machines: %d keys, %d cells", len(keys), len(cells))
+	if len(ids)*2 != len(cells) {
+		t.Fatalf("expected every stream to span both machines: %d streams, %d cells", len(ids), len(cells))
 	}
 	for _, workers := range []int{1, 4} {
 		pool := NewPool(workers)
 		before := sim.GenerationPasses()
 		m.Run(pool)
 		passes := sim.GenerationPasses() - before
-		if passes != uint64(len(keys)) {
+		if passes != uint64(len(ids)) {
 			t.Fatalf("workers=%d: %d generation passes for %d distinct op streams (%d cells)",
-				workers, passes, len(keys), len(cells))
+				workers, passes, len(ids), len(cells))
 		}
 		if n := pool.GenPasses(); n != passes {
 			t.Fatalf("workers=%d: pool counted %d generation passes, the process %d", workers, n, passes)
@@ -248,8 +248,9 @@ func TestMatrixMachineBase(t *testing.T) {
 		t.Fatal("config's own machine variant was overridden by the base")
 	}
 	// And the variant still shares the baseline's op stream.
-	if m.traceKey(0, Cell{Bench: 0, Config: -1}) != m.traceKey(0, Cell{Bench: 0, Config: 0}) {
-		t.Fatal("machine-only variant must share the baseline trace key")
+	spec := m.Benches[0]
+	if sim.StreamOf(spec, m.Config(Cell{Bench: 0, Config: -1})) != sim.StreamOf(spec, m.Config(Cell{Bench: 0, Config: 0})) {
+		t.Fatal("machine-only variant must share the baseline's stream identity")
 	}
 	r := m.Run(NewPool(2))
 	if r.Base[0][0].Cycles >= r.Runs[0][0][0][0].Cycles {

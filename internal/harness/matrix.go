@@ -45,7 +45,7 @@ type Matrix struct {
 	// once per listed machine, overriding Machine and the configs'
 	// own Machine fields. The op streams are machine-independent, so
 	// all machine columns of a cell share one captured trace (the
-	// machine never enters the trace key).
+	// machine never enters the stream identity, sim.StreamOf).
 	Machines []machine.Desc
 	// Seeds is the number of layout replicas per cell (<=1 means one,
 	// with the config's own LayoutSeed unchanged).
@@ -125,44 +125,6 @@ type MatrixResult struct {
 	Runs [][][][]sim.Result
 }
 
-// traceKey is the full determinant set of a cell's op stream: the op
-// sequence a cell's kernel and allocator emit is a pure function of
-// the benchmark, the instrumented layouts (policy, pad bounds, layout
-// seed) and the heap configuration — and of nothing else. Cells with
-// equal keys emit byte-identical streams; machine configuration
-// (hierarchy geometry and latencies, core parameters — the whole
-// machine.Desc, including every column of a Machines axis) consumes
-// the stream without influencing it, so it stays out of the key: a
-// matrix swept over M machines captures each stream once and fans it
-// out to all M. Pad and seed fields are normalized to zero for the
-// uninstrumented baseline, whose layouts ignore them — that is what
-// lets a policy-free configuration column (e.g. Figure 10's +1-cycle
-// machine) share the baseline's capture.
-type traceKey struct {
-	bench                    int
-	policy                   sim.PolicyChoice
-	minPad, maxPad, fixedPad int
-	layoutSeed               int64
-	useCForm                 bool
-	// unique de-shares cells whose stream the key cannot vouch for
-	// (heap-config overrides); 0 for groupable cells.
-	unique int
-}
-
-func (m Matrix) traceKey(i int, cell Cell) traceKey {
-	rc := m.Config(cell)
-	if rc.Heap != nil {
-		return traceKey{unique: i + 1}
-	}
-	k := traceKey{bench: cell.Bench, policy: rc.Policy}
-	if rc.Policy != sim.PolicyNone {
-		k.minPad, k.maxPad, k.fixedPad = rc.MinPad, rc.MaxPad, rc.FixedPad
-		k.layoutSeed = rc.LayoutSeed
-		k.useCForm = rc.UseCForm
-	}
-	return k
-}
-
 // newMatrixResult allocates the coordinate-addressed result slots —
 // the emission stage's sink.
 func newMatrixResult(m Matrix) MatrixResult {
@@ -192,44 +154,20 @@ func (r *MatrixResult) emit(cell Cell, res sim.Result) {
 	}
 }
 
-// matrixGroup is one schedulable unit: the cells sharing one op
-// stream, in canonical cell order (the first cell is the capture).
-type matrixGroup struct{ cells []int }
-
-// groups partitions the enumerated cells by trace key, preserving
-// canonical order within and across groups — the scheduling stage's
-// input.
-func (m Matrix) groups(cells []Cell) []*matrixGroup {
-	index := make(map[traceKey]*matrixGroup)
-	var groups []*matrixGroup
-	for i := range cells {
-		k := m.traceKey(i, cells[i])
-		if g, ok := index[k]; ok {
-			g.cells = append(g.cells, i)
-			continue
-		}
-		g := &matrixGroup{cells: []int{i}}
-		index[k] = g
-		groups = append(groups, g)
-	}
-	return groups
-}
-
 // Run executes the matrix in three separable stages. Enumeration
 // (Cells) expands the declarative matrix into run units in canonical
-// order. Scheduling (schedule) partitions the units into op-stream
-// groups and serves each through a stream handle, which emits stored
-// results, replays a stored stream onto the missing machines, and pays
-// a generation pass only for a genuinely new stream — captured once
-// and multicast to every sibling cell. Emission folds results into
-// coordinate-addressed slots. Groups are handed to the pool's workers
-// in submission order; output is bit-identical to independent per-cell
-// runs at any worker count, warm or cold.
+// order. Scheduling (schedule) serves the units through a stream
+// table, which groups them by op stream and serves each group through
+// its stream handle: the handle emits stored results, replays a stored
+// stream onto the missing machines, and pays a generation pass only
+// for a genuinely new stream — captured once and multicast to every
+// sibling cell. Emission folds results into coordinate-addressed
+// slots. Groups are handed to the pool's workers in submission order;
+// output is bit-identical to independent per-cell runs at any worker
+// count, warm or cold.
 func (m Matrix) Run(pool *Pool) MatrixResult {
 	res := newMatrixResult(m)
-	cells := m.Cells()
-	pool.addTotal(len(cells))
-	m.schedule(pool, cells, res.emit)
+	m.schedule(pool, m.Cells(), res.emit)
 	return res
 }
 
@@ -243,31 +181,18 @@ func (m Matrix) cellName(cell Cell) string {
 	return fmt.Sprintf("%s/%s/seed=%d/machine=%d", m.Benches[cell.Bench].Name, cfg, cell.Seed, cell.Machine)
 }
 
-// schedule runs the enumerated cells on the pool, one unit per
-// op-stream group, each served through its own stream handle against
-// the pool's store (nil: always run). Failed cells land on the pool;
-// the group's healthy cells still emit.
+// schedule runs the enumerated cells on the pool through one stream
+// table: one unit per op stream, each served through its handle
+// against the pool's store (nil: always run). Failed cells land on the
+// pool; the group's healthy cells still emit.
 func (m Matrix) schedule(pool *Pool, cells []Cell, emit func(Cell, sim.Result)) {
-	script := scripts(m.Benches, m.Visits)
-	groups := m.groups(cells)
-	pool.loop(len(groups), func(gi int) {
-		g := groups[gi]
-		b := cells[g.cells[0]].Bench
-		rcs := make([]sim.RunConfig, len(g.cells))
-		for i, ci := range g.cells {
-			rcs[i] = m.Config(cells[ci])
-		}
-		s := &stream{pool: pool, spec: m.Benches[b], capture: rcs[0], script: script[b]}
-		s.run(rcs, func(i int, r sim.Result, stage string, rp *recoveredPanic) {
-			cell := cells[g.cells[i]]
-			if rp != nil {
-				pool.fail(m.cellName(cell), stage, rp)
-			} else {
-				emit(cell, r)
-			}
-			pool.cellDone()
-		})
-	})
+	runs := make([]cellRun, len(cells))
+	for i, cell := range cells {
+		runs[i] = cellRun{spec: m.Benches[cell.Bench], rc: m.Config(cell)}
+	}
+	newTable(pool, false).serve(runs,
+		func(i int) string { return m.cellName(cells[i]) },
+		func(i int, r sim.Result) { emit(cells[i], r) })
 }
 
 // SlowdownAt returns benchmark b's slowdown under config c on

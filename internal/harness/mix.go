@@ -3,17 +3,16 @@ package harness
 // This file is the multiprogrammed-mix layer over internal/multicore:
 // the Mix experiment kind expands {benchmark tuples} × {protected
 // configuration} × {core counts} × {seed replicas} through the same
-// stream handles the single-core Matrix uses — one decision script
-// per benchmark, one handle per distinct op stream (the mix analogue
-// of the trace key: benchmark × config variant × layout seed, with
-// the baseline normalized to seed 0 exactly as Matrix.traceKey does)
-// — and replays the recordings onto shared-L3 machines. Stage one
-// takes every stream's solo result; stage two fans the recordings out
-// across the mix machines, loading or capturing each only when a unit
-// result is missing. Both stages shard over the worker Pool into
-// index-addressed slots, so mix output is byte-identical at any
-// worker count, and a one-core mix reproduces the single-core
-// engine's results bit for bit.
+// stream table the single-core Matrix uses — one decision script per
+// benchmark, one handle per distinct op stream (benchmark × config
+// variant × layout seed, with the baseline's layout fields normalized
+// away by sim.StreamOf) — and replays the recordings onto shared-L3
+// machines. Stage one serves every stream's solo result; stage two
+// fans the recordings out across the mix machines, loading or
+// capturing each only when a unit result is missing. Both stages shard
+// over the worker Pool into index-addressed slots, so mix output is
+// byte-identical at any worker count, and a one-core mix reproduces
+// the single-core engine's results bit for bit.
 //
 // The mix experiments themselves (mix2, mix4, rate4, rate8) are
 // registered by the init below, which runs after experiments.go's by
@@ -59,8 +58,6 @@ type Mix struct {
 	Cores  []int
 	Seeds  int
 	Visits int
-	// Quantum is the interleaver slice (<=0: multicore.DefaultQuantum).
-	Quantum int
 }
 
 func (mx Mix) seeds() int {
@@ -111,19 +108,20 @@ type MixResult struct {
 	SoloProt [][]sim.Result
 	// MixBase[t][ci] / MixProt[t][ci][s] are the multicore runs: per-
 	// core results plus the shared-L3 view. The slots of failed units
-	// (see Pool.FailedCells) hold zero results; a failed capture also
-	// fails the mix units that needed its recording.
+	// (see Pool.FailedCells) hold one zero result per core, so they
+	// render like failed Matrix cells; a failed capture also fails the
+	// mix units that needed its recording.
 	MixBase [][]multicore.RunResult
 	MixProt [][][]multicore.RunResult
 
 	benchIdx map[string]int
 }
 
-// Run executes the mix sweep on the pool through one stream handle
-// per unique op stream: stage one takes each stream's solo result from
-// its handle, stage two replays the handles' recordings across every
-// (tuple, core count, variant, seed) machine. Results are
-// deterministic at any worker count.
+// Run executes the mix sweep on the pool through one stream table:
+// stage one serves each stream's solo result through its handle, stage
+// two replays the handles' recordings across every (tuple, core count,
+// variant, seed) machine. Results are deterministic at any worker
+// count.
 func (mx Mix) Run(pool *Pool) MixResult {
 	if len(mx.Cores) == 0 {
 		// No explicit width axis: run the machine at its own nominal
@@ -153,32 +151,27 @@ func (mx Mix) Run(pool *Pool) MixResult {
 		}
 	}
 
-	// One handle per (benchmark, variant) stream, kept for stage two.
+	// Stage one: the solo results, one cell per (benchmark, variant)
+	// stream, through a table whose handles keep their recordings for
+	// stage two. A stored result loads nothing, so a warm mix sweep
+	// reads no recordings and performs no generation passes.
 	variants := 1 + seeds // baseline + protected replicas
-	script := scripts(benches, mx.Visits)
-	streams := make([]*stream, len(benches)*variants)
-	for u := range streams {
-		b, v := u/variants, u%variants
-		streams[u] = &stream{pool: pool, spec: benches[b], capture: mx.variantConfig(v), script: script[b], keep: true}
+	solo := make([]cellRun, len(benches)*variants)
+	for u := range solo {
+		solo[u] = cellRun{spec: benches[u/variants], rc: mx.variantConfig(u % variants)}
 	}
-
-	// Stage one: the solo results. A stored result loads nothing, so a
-	// warm mix sweep reads no recordings and performs no generation
-	// passes.
-	pool.Map(len(streams), func(u int) {
-		b, v := u/variants, u%variants
-		s := streams[u]
-		s.run([]sim.RunConfig{s.capture}, func(_ int, r sim.Result, stage string, rp *recoveredPanic) {
-			switch {
-			case rp != nil:
-				pool.fail(fmt.Sprintf("solo/%s/%s", benches[b].Name, variantName(v)), stage, rp)
-			case v == 0:
+	tab := newTable(pool, true)
+	tab.serve(solo,
+		func(u int) string {
+			return fmt.Sprintf("solo/%s/%s", benches[u/variants].Name, variantName(u%variants))
+		},
+		func(u int, r sim.Result) {
+			if b, v := u/variants, u%variants; v == 0 {
 				res.SoloBase[b] = r
-			default:
+			} else {
 				res.SoloProt[b][v-1] = r
 			}
 		})
-	})
 
 	// Stage two: replay the recordings across the mix machines.
 	// Recordings are read-only here (each machine traverses them with
@@ -186,7 +179,7 @@ func (mx Mix) Run(pool *Pool) MixResult {
 	// Each unit result is itself store-cacheable: a mix run is a pure
 	// function of the slot streams and the shared machine (unitKey), so
 	// a unit whose result is stored asks its handles for nothing.
-	cfg := multicore.Config{Machine: mx.Config.Machine, Quantum: mx.Quantum}
+	cfg := multicore.Config{Machine: mx.Config.Machine}
 	st := pool.store
 	per := len(mx.Cores) * variants
 	pool.Map(len(mx.Tuples)*per, func(u int) {
@@ -205,16 +198,18 @@ func (mx Mix) Run(pool *Pool) MixResult {
 					return
 				}
 			}
+			rc := mx.variantConfig(v)
 			slots := make([]multicore.Stream, mx.Cores[ci])
 			for slot := range slots {
-				name := tuple.bench(slot).Name
-				rec, _ := streams[benchIdx[name]*variants+v].acquire(nil)
+				spec := tuple.bench(slot)
+				// Stage one made every slot's handle: a read-only lookup.
+				rec, _ := tab.streams[sim.StreamOf(spec, rc)].acquire(nil)
 				if rec == nil {
 					// The capture this unit depends on failed; fail the
 					// unit explicitly instead of panicking in replay.
-					panic(fmt.Errorf("missing recording for %s (solo capture failed)", name))
+					panic(fmt.Errorf("missing recording for %s (solo capture failed)", spec.Name))
 				}
-				slots[slot] = multicore.Stream{Name: name, Rec: rec}
+				slots[slot] = multicore.Stream{Name: spec.Name, Rec: rec}
 			}
 			rr = multicore.Run(cfg, slots)
 			if st != nil {
@@ -223,6 +218,7 @@ func (mx Mix) Run(pool *Pool) MixResult {
 			emitMix(&res, t, ci, v, rr)
 		}); rp != nil {
 			pool.fail(fmt.Sprintf("mix/%s/cores=%d/%s", tuple.Name, mx.Cores[ci], variantName(v)), "mix", rp)
+			emitMix(&res, t, ci, v, multicore.RunResult{Cores: make([]sim.Result, mx.Cores[ci])})
 		}
 	})
 	return res
@@ -248,20 +244,17 @@ func emitMix(res *MixResult, t, ci, v int, rr multicore.RunResult) {
 
 // unitKey is the store key of one stage-two unit: the per-slot op
 // stream keys (which pin benchmark, configuration and layouts), the
-// shared machine and the interleaver quantum. The unit's variant —
-// baseline or protected replica — is encoded through the slot
-// configurations rather than literally, so equal-content units share
-// one entry.
+// shared machine and the interleaver quantum (always
+// multicore.DefaultQuantum). The unit's variant — baseline or
+// protected replica — is encoded through the slot configurations
+// rather than literally, so equal-content units share one entry.
 func (mx Mix) unitKey(tuple MixTuple, cores, v int) string {
 	rc := mx.variantConfig(v)
 	doc := struct {
 		Streams []string     `json:"streams"`
 		Machine machine.Desc `json:"machine"`
 		Quantum int          `json:"quantum"`
-	}{Machine: rc.Machine.OrDefault(), Quantum: mx.Quantum}
-	if doc.Quantum <= 0 {
-		doc.Quantum = multicore.DefaultQuantum
-	}
+	}{Machine: rc.Machine.OrDefault(), Quantum: multicore.DefaultQuantum}
 	for slot := 0; slot < cores; slot++ {
 		doc.Streams = append(doc.Streams, sim.StreamKey(tuple.bench(slot), rc))
 	}

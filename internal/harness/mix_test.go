@@ -226,3 +226,17 @@ func TestMixL3RefereeThroughHarness(t *testing.T) {
 		}
 	}
 }
+
+// TestMixUnitKeyPinned pins one stage-two store key byte for byte: the
+// per-slot stream keys, the resolved machine and the interleaver
+// quantum. A change here strands every stored mix unit.
+func TestMixUnitKeyPinned(t *testing.T) {
+	mx := testMix([]string{"mcf", "perlbench"}, []int{2}, 1, 300)
+	const want = `{"streams":["{\"bench\":\"mcf\",\"bench_seed\":110,\"policy\":2,\"min_pad\":1,\"max_pad\":7,\"use_cform\":true,\"visits\":300}","{\"bench\":\"perlbench\",\"bench_seed\":114,\"policy\":2,\"min_pad\":1,\"max_pad\":7,\"use_cform\":true,\"visits\":300}"],` +
+		`"machine":{"Name":"westmere","Title":"Table 3 Westmere-like desktop at 2.27GHz (the paper's evaluation machine)","CoreModel":"x86-64 Westmere-like OoO model",` +
+		`"Hier":{"L1":{"Name":"L1D","Size":32768,"Ways":8,"Latency":4},"L2":{"Name":"L2","Size":262144,"Ways":8,"Latency":7},"L3":{"Name":"L3","Size":2097152,"Ways":16,"Latency":27},"MemLatency":200,"ExtraL2L3":0,"SpillFillLatency":0},` +
+		`"Core":{"IssueWidth":4,"MSHRs":10,"ROBWindow":48,"LSQDepth":36,"StoreMissCost":[0,0,0.5,1.5,4],"ExceptionCost":700,"HaltOnException":false},"Cores":4},"quantum":1024}`
+	if got := mx.unitKey(mx.Tuples[0], 2, 1); got != want {
+		t.Fatalf("mix unit key changed:\ngot:  %s\nwant: %s", got, want)
+	}
+}

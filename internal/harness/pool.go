@@ -1,39 +1,34 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/faultinject"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Pool is a fixed-width worker pool. Experiments shard their run
-// units over it with Map, and Matrix.Run its op-stream groups: each
-// worker takes the next unit index from a shared counter until the
-// indices run out. Unit results are written to index-addressed slots,
-// so scheduling order never leaks into output.
+// units over it with Map, and stream tables (Matrix.Run, Mix.Run, the
+// ablations) their op-stream groups: each worker takes the next unit
+// index from a shared counter until the indices run out. Unit results
+// are written to index-addressed slots, so scheduling order never
+// leaks into output.
 //
 // Drain is the graceful-shutdown half of the failure layer: once
 // called, no further unit starts while in-flight units finish, and
-// every later Map or Matrix.Run returns immediately — the signal
-// handler in cmd/califorms-bench drains the pool, flushes store and
-// journal, and exits resumable.
+// every later Map or stream-table sweep returns immediately — the
+// signal handler in cmd/califorms-bench drains the pool, flushes store
+// and journal, and exits resumable.
 //
 // Beyond scheduling, a Pool is the per-sweep execution context and the
 // only home of a sweep's state: its store (SetStore — the one every
-// tier reads, direct runs included), its progress counters
-// (SetProgress), its failed cells (FailedCells) and the generation
-// passes its sweeps ran (GenPasses). That is what lets several sweeps
-// run concurrently in one process — califorms-server executes each job
-// on its own Pool with its own journal-backed store, and neither the
-// failure tables, the progress counts nor the generation-pass counts
-// of concurrent jobs can bleed into each other.
+// tier reads), its progress counters (SetProgress), its failed cells
+// (FailedCells) and the generation passes its sweeps ran (GenPasses).
+// That is what lets several sweeps run concurrently in one process —
+// califorms-server executes each job on its own Pool with its own
+// journal-backed store, and neither the failure tables, the progress
+// counts nor the generation-pass counts of concurrent jobs can bleed
+// into each other.
 type Pool struct {
 	workers int
 	drain   atomic.Bool
@@ -43,12 +38,11 @@ type Pool struct {
 	store Store
 
 	// genPasses counts the workload generation passes this pool's
-	// sweeps ran: stream-handle captures and direct runs the store could
-	// not serve.
+	// sweeps ran: the stream-handle captures the store could not serve.
 	genPasses atomic.Uint64
 
 	// Progress accounting: total counts every scheduled sweep cell
-	// (matrix cells, mix units, Map units), done every cell that
+	// (stream-table cells, mix units, Map units), done every cell that
 	// finished — emitted a result or failed. onProgress, when set,
 	// observes each completed cell from whichever worker finished it.
 	cellsDone  atomic.Uint64
@@ -87,36 +81,6 @@ func (p *Pool) Store() Store { return p.store }
 // pool's sweeps have run. It counts only this pool's work, so it is
 // exact however many pools run at once.
 func (p *Pool) GenPasses() uint64 { return p.genPasses.Load() }
-
-// runDirect executes one direct cell — a run outside any Matrix or Mix,
-// such as an ablation point — through the pool's store: a stored
-// result is served as is; otherwise the cell runs, costing one
-// generation pass, and its result is stored. The run is guarded like a
-// stream handle's: a failed cell is named after its run key and yields
-// a zero Result, which is not stored.
-func (p *Pool) runDirect(spec workload.Spec, rc sim.RunConfig) sim.Result {
-	key := sim.RunKey(spec, rc)
-	if p.store != nil {
-		if r, ok := p.store.GetRun(key); ok {
-			return r
-		}
-	}
-	var r sim.Result
-	if rp := runRecovered(func() {
-		faultinject.CheckPanic("cell.panic")
-		faultinject.Delay("cell.delay")
-		p.genPasses.Add(1)
-		r = sim.Run(spec, rc)
-	}); rp != nil {
-		sum := sha256.Sum256([]byte(key))
-		p.fail(fmt.Sprintf("direct/%s/%x", spec.Name, sum[:4]), "direct", rp)
-		return sim.Result{}
-	}
-	if p.store != nil {
-		p.store.PutRun(key, r)
-	}
-	return r
-}
 
 // SetProgress installs an observer of the pool's cell progress. It is
 // invoked after every completed cell — from worker goroutines, so it
@@ -175,9 +139,9 @@ func (p *Pool) drainPending() []CellError {
 }
 
 // Drain asks the pool to stop dispatching: no further unit starts,
-// in-flight units run to completion, and the running Map or Matrix.Run
-// returns once the last one finishes. The flag is sticky — later calls
-// on a drained pool return immediately.
+// in-flight units run to completion, and the running Map or
+// stream-table sweep returns once the last one finishes. The flag is
+// sticky — later calls on a drained pool return immediately.
 func (p *Pool) Drain() { p.drain.Store(true) }
 
 // Draining reports whether Drain has been called.

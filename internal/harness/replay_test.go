@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -59,8 +61,8 @@ func emitAll(t *testing.T, p Params, pool *Pool) []byte {
 
 // directRuns is the replay engine's referee store: GetRun answers
 // every key with an independent sim.Run of the configuration the key
-// names, so a sweep scheduled against it serves every Matrix cell and
-// every direct run (the ablation points) from its own fresh
+// names, so a sweep scheduled against it serves every cell — Matrix
+// cells, Mix solo runs, ablation points — from its own fresh
 // simulation. Every other method misses or does nothing.
 type directRuns struct{ t *testing.T }
 
@@ -91,6 +93,11 @@ func (d directRuns) GetRun(key string) (sim.Result, bool) {
 		d.t.Errorf("run key %s does not name a registry configuration", key)
 		return sim.Result{}, false
 	}
+	// The machine is the run key's last field: what precedes it is the
+	// cell's stream key, which its stream identity must render.
+	if i := strings.LastIndex(key, `,"machine":`); i < 0 || sim.StreamOf(spec, rc).Key() != key[:i]+"}" {
+		d.t.Errorf("stream identity of run key %s renders %s", key, sim.StreamOf(spec, rc).Key())
+	}
 	return sim.Run(spec, rc), true
 }
 
@@ -102,7 +109,7 @@ func (directRuns) PutMix(string, any)                           {}
 
 // TestReplayEngineMatchesDirectRuns is the referee of the trace
 // capture/replay engine: for every registry experiment, the default
-// path (shared decision scripts, trace-key grouping, multicast
+// path (shared decision scripts, stream-identity grouping, multicast
 // fan-out of captured streams) must produce byte-identical emitter
 // output to one independent sim.Run per cell — in every format, at
 // several worker counts.
@@ -124,36 +131,89 @@ func TestReplayEngineMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestTraceKeyGrouping pins the grouping semantics: baseline and
-// machine-only variants share a stream; anything that changes layouts
-// or allocator behavior does not.
+// TestTraceKeyGrouping pins the grouping semantics of the stream
+// identity (sim.StreamOf) the stream table groups cells by: baseline
+// and machine-only variants share a stream; anything that changes
+// layouts or allocator behavior does not.
 func TestTraceKeyGrouping(t *testing.T) {
 	var m Matrix
-	keyOf := func(cell Cell) traceKey { return m.traceKey(0, cell) }
+	idOf := func(cell Cell) sim.StreamID { return sim.StreamOf(m.Benches[cell.Bench], m.Config(cell)) }
 
 	// fig10 shape: one PolicyNone column with a hierarchy override
 	// must group with the baseline.
 	m = fig10StyleMatrix()
-	if keyOf(Cell{Bench: 0, Config: -1}) != keyOf(Cell{Bench: 0, Config: 0}) {
-		t.Fatal("hierarchy-only variant must share the baseline trace key")
+	if idOf(Cell{Bench: 0, Config: -1}) != idOf(Cell{Bench: 0, Config: 0}) {
+		t.Fatal("hierarchy-only variant must share the baseline's stream")
 	}
-	if keyOf(Cell{Bench: 0, Config: -1}) == keyOf(Cell{Bench: 1, Config: -1}) {
-		t.Fatal("different benchmarks must never share a trace key")
+	if idOf(Cell{Bench: 0, Config: -1}) == idOf(Cell{Bench: 1, Config: -1}) {
+		t.Fatal("different benchmarks must never share a stream")
 	}
 
 	// fig4 shape: pad columns change layouts, so every column is its
 	// own group.
 	m = fig4StyleMatrix()
-	if keyOf(Cell{Bench: 0, Config: 0}) == keyOf(Cell{Bench: 0, Config: 1}) {
-		t.Fatal("different pad sizes must not share a trace key")
+	if idOf(Cell{Bench: 0, Config: 0}) == idOf(Cell{Bench: 0, Config: 1}) {
+		t.Fatal("different pad sizes must not share a stream")
 	}
-	if keyOf(Cell{Bench: 0, Config: -1}) == keyOf(Cell{Bench: 0, Config: 0}) {
-		t.Fatal("a policied column must not share the baseline's key")
+	if idOf(Cell{Bench: 0, Config: -1}) == idOf(Cell{Bench: 0, Config: 0}) {
+		t.Fatal("a policied column must not share the baseline's stream")
 	}
 
 	// Seed replicas randomize layouts differently.
 	m.Seeds = 2
-	if keyOf(Cell{Bench: 0, Config: 0, Seed: 0}) == keyOf(Cell{Bench: 0, Config: 0, Seed: 1}) {
-		t.Fatal("different layout-seed replicas must not share a trace key")
+	if idOf(Cell{Bench: 0, Config: 0, Seed: 0}) == idOf(Cell{Bench: 0, Config: 0, Seed: 1}) {
+		t.Fatal("different layout-seed replicas must not share a stream")
+	}
+
+	// Heap overrides split streams by value: equal configurations held
+	// through distinct pointers share one, a changed one does not.
+	spec := m.Benches[0]
+	h1, h2 := alloc.DefaultConfig(), alloc.DefaultConfig()
+	rc1 := sim.RunConfig{Policy: sim.PolicyOpportunistic, UseCForm: true, Heap: &h1}
+	rc2 := rc1
+	rc2.Heap = &h2
+	if sim.StreamOf(spec, rc1) != sim.StreamOf(spec, rc2) {
+		t.Fatal("equal heap overrides must share a stream")
+	}
+	h2.QuarantineFrac = 0.5
+	if sim.StreamOf(spec, rc1) == sim.StreamOf(spec, rc2) {
+		t.Fatal("different heap overrides must not share a stream")
+	}
+}
+
+// TestAblationsShareStreams: the ablation points are the cells of one
+// stream table, so on a fresh storeless pool the sweep costs one
+// generation pass per distinct stream identity — xalancbmk feeding six
+// machines, perlbench under four heap configurations, mcf and
+// libquantum feeding three MSHR machines each — and counts one cell
+// per distinct run. Its tables match one independent sim.Run per
+// point.
+func TestAblationsShareStreams(t *testing.T) {
+	const visits = 200
+	ids, keys := map[sim.StreamID]bool{}, map[string]bool{}
+	for _, a := range sim.Ablations(visits) {
+		for _, pt := range a.Points {
+			ids[sim.StreamOf(pt.Spec, pt.RC)] = true
+			keys[sim.RunKey(pt.Spec, pt.RC)] = true
+		}
+	}
+	if len(ids) != 7 || len(keys) != 16 {
+		t.Fatalf("ablations declare %d streams and %d runs, want 7 and 16", len(ids), len(keys))
+	}
+
+	e, _ := Get("ablations")
+	pool := NewPool(2)
+	got := Run(e, Params{Visits: visits}, pool)
+	if n := pool.GenPasses(); n != uint64(len(ids)) {
+		t.Errorf("ablations cost %d generation passes, want %d (one per stream)", n, len(ids))
+	}
+	if done, total := pool.Progress(); done != total || total != uint64(len(keys)) {
+		t.Errorf("ablations progress %d/%d, want %d/%d (one cell per run)", done, total, len(keys), len(keys))
+	}
+
+	ref := NewPool(2)
+	ref.SetStore(directRuns{t})
+	if want := Run(e, Params{Visits: visits}, ref); !reflect.DeepEqual(got, want) {
+		t.Fatal("shared-stream ablation tables diverge from independent runs")
 	}
 }

@@ -7,7 +7,7 @@ package harness
 //
 // Both run through Matrix's machine axis, so each benchmark's op
 // stream is generated exactly once per configuration and fanned out to
-// every machine (the machine never enters the trace key); adding a
+// every machine (the machine never enters sim.StreamOf); adding a
 // machine to the registry adds replay consumers, not generation work.
 // The init below runs after experiments.go's and mix.go's (file-name
 // order), appending the sens experiments to the canonical report

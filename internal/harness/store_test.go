@@ -261,15 +261,23 @@ func TestMixLostRecordingsRecapture(t *testing.T) {
 
 // TestMixCapturePanicsAbortEveryClaim: when every capture panics on a
 // cold store, each claim is settled by AbortStream, every solo run and
-// unit fails, and the sweep returns.
+// unit fails, and the sweep returns a result its tables can render.
 func TestMixCapturePanicsAbortEveryClaim(t *testing.T) {
 	mx := lostRecordingsMix()
 	pool := NewPool(2)
 	cs := newClaimStore(t, withStore(t, pool))
 	pool.SetStore(cs)
 	armFaults(t, faultinject.Config{Seed: 1, Rate: 1, Points: []string{"cell.panic"}})
-	mx.Run(pool)
+	r := mx.Run(pool)
 	cs.checkSettled()
+	// A failed unit's slot holds one zero result per core, so the mix
+	// tables render around it.
+	for ci, n := range mx.Cores {
+		if got := len(r.MixBase[0][ci].Cores); got != n {
+			t.Errorf("failed %d-core unit holds %d core results", n, got)
+		}
+	}
+	mixTables(r)
 	if cs.claims == 0 || cs.aborts != cs.claims || cs.puts != 0 {
 		t.Errorf("%d claims: %d aborted, %d put; want every claim aborted", cs.claims, cs.aborts, cs.puts)
 	}

@@ -9,10 +9,91 @@ import (
 	"repro/internal/workload"
 )
 
+// table is the sweep engine's stream table: one per Matrix.Run, Mix.Run
+// or ablations call, holding the handle of every op stream the
+// experiment's cells consume, keyed by stream identity (sim.StreamOf).
+// Handles are created before the pool runs; workers only read the
+// table. The table, with every handle and kept recording, is freed
+// when its experiment ends.
+type table struct {
+	pool    *Pool
+	keep    bool // every handle keeps its recording (stream.keep)
+	streams map[sim.StreamID]*stream
+	// scripts holds each benchmark's decision script, captured on
+	// first use and shared read-only by all its streams, so a fully
+	// warm sweep never captures one. A table's cells share one visit
+	// count.
+	scripts map[string]func() *workload.Script
+}
+
+func newTable(pool *Pool, keep bool) *table {
+	return &table{pool: pool, keep: keep,
+		streams: make(map[sim.StreamID]*stream), scripts: make(map[string]func() *workload.Script)}
+}
+
+// handle returns the handle of the op stream a run of (spec, rc)
+// consumes, creating it on first use with the benchmark's shared
+// decision script and rc as its capture configuration.
+func (t *table) handle(spec workload.Spec, rc sim.RunConfig) *stream {
+	id := sim.StreamOf(spec, rc)
+	if s, ok := t.streams[id]; ok {
+		return s
+	}
+	script, ok := t.scripts[spec.Name]
+	if !ok {
+		script = sync.OnceValue(func() *workload.Script { return sim.CaptureScript(spec, rc.Visits) })
+		t.scripts[spec.Name] = script
+	}
+	s := &stream{pool: t.pool, id: id, spec: spec, capture: rc, script: script, keep: t.keep}
+	t.streams[id] = s
+	return s
+}
+
+// cellRun is one run a table serves: a benchmark under a configuration.
+type cellRun struct {
+	spec workload.Spec
+	rc   sim.RunConfig
+}
+
+// serve groups cells by handle in first-appearance order and runs one
+// pool unit per handle through its tiers (stream.run), so cells sharing
+// an op stream share its generation pass. Every cell counts toward the
+// pool's progress. A failed cell lands on the pool under name(i); every
+// other cell's result goes to emit(i, r).
+func (t *table) serve(cells []cellRun, name func(i int) string, emit func(i int, r sim.Result)) {
+	var handles []*stream
+	members := make(map[*stream][]int)
+	for i, c := range cells {
+		s := t.handle(c.spec, c.rc)
+		if _, ok := members[s]; !ok {
+			handles = append(handles, s)
+		}
+		members[s] = append(members[s], i)
+	}
+	pool := t.pool
+	pool.addTotal(len(cells))
+	pool.loop(len(handles), func(g int) {
+		idx := members[handles[g]]
+		rcs := make([]sim.RunConfig, len(idx))
+		for j, i := range idx {
+			rcs[j] = cells[i].rc
+		}
+		handles[g].run(rcs, func(j int, r sim.Result, stage string, rp *recoveredPanic) {
+			if rp != nil {
+				pool.fail(name(idx[j]), stage, rp)
+			} else {
+				emit(idx[j], r)
+			}
+			pool.cellDone()
+		})
+	})
+}
+
 // stream is the sweep engine's one tier scheduler: the handle through
-// which every Matrix group, Mix solo run and Mix unit obtains one op
-// stream's results and recording. It layers the pool's store into
-// three reuse tiers, cheapest first:
+// which every cell a table serves — Matrix cells, Mix solo runs,
+// ablation points — and every Mix unit obtains one op stream's results
+// and recording. It layers the pool's store into three reuse tiers,
+// cheapest first:
 //
 //	tier 1 — result hit: a cell's finished sim.Result is in the store;
 //	         emit it, run nothing.
@@ -36,14 +117,15 @@ import (
 // retried; every cell waiting on it fails.
 type stream struct {
 	pool *Pool
+	id   sim.StreamID
 	spec workload.Spec
-	// capture keys the stream (sim.StreamKey), and is the
-	// configuration it is captured under when no cell asks for a result.
+	// capture is the configuration the stream is captured under when
+	// no cell asks for a result (the first cell that named it).
 	capture sim.RunConfig
 	script  func() *workload.Script
-	// keep tees a recording even without a store and holds the capture
-	// for the Mix units. A Matrix handle drops its capture once it is
-	// stored, and a loaded recording along with its group's unit.
+	// keep tees a recording even without a store and holds the
+	// recording, loaded or captured, for the Mix units. Any other
+	// handle drops a loaded recording once its cells are served.
 	keep bool
 
 	once sync.Once
@@ -76,6 +158,9 @@ func (s *stream) run(rcs []sim.RunConfig, done func(i int, r sim.Result, stage s
 		return
 	}
 	rec, results := s.acquire(sub)
+	if !s.keep {
+		s.rec = nil // no later caller: the table serves a handle once
+	}
 	for j, i := range missing {
 		var r sim.Result
 		var stage string
@@ -110,7 +195,7 @@ func (s *stream) acquire(rcs []sim.RunConfig) (*trace.Recording, []sim.Result) {
 	s.once.Do(func() {
 		st, key := s.pool.store, ""
 		if st != nil {
-			key = sim.StreamKey(s.spec, s.capture)
+			key = s.id.Key()
 			if rec, ok := st.GetRecording(key); ok {
 				s.rec = rec
 				return
@@ -146,16 +231,4 @@ func (s *stream) acquire(rcs []sim.RunConfig) (*trace.Recording, []sim.Result) {
 		}
 	})
 	return s.rec, results
-}
-
-// scripts returns a sweep's per-benchmark decision-script getters: each
-// benchmark's script (workload.Script) is captured on first use and
-// shared read-only by every stream of that benchmark, so a fully warm
-// sweep never captures one.
-func scripts(benches []workload.Spec, visits int) []func() *workload.Script {
-	get := make([]func() *workload.Script, len(benches))
-	for b, spec := range benches {
-		get[b] = sync.OnceValue(func() *workload.Script { return sim.CaptureScript(spec, visits) })
-	}
-	return get
 }

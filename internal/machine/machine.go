@@ -17,7 +17,7 @@
 // stream are a pure function of the benchmark and its instrumented
 // layouts, never of the machine. That is the invariant that lets one
 // captured trace fan out across every registered machine (see
-// internal/harness's trace keys).
+// sim.StreamOf, the stream identity the sweep engine groups by).
 package machine
 
 import (

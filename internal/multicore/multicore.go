@@ -112,11 +112,19 @@ func Run(cfg Config, streams []Stream) RunResult {
 	shared := cache.NewSharedL3(d.Hier.L3, mem.New(), n)
 	hiers := make([]*cache.Hierarchy, n)
 	cores := make([]*cpu.Core, n)
+	sinks := make([]trace.BatchSink, n)
 	cursors := make([]*trace.ReplayCursor, n)
 	warm := make([]int, n)
+	// One watchdog deadline covers the whole run; each core's sink
+	// checks it at its batch boundaries.
+	check := sim.Watchdog()
 	for i, st := range streams {
 		hiers[i] = cache.NewShared(d.Hier, shared, i)
 		cores[i] = cpu.New(d.Core, hiers[i])
+		sinks[i] = cores[i]
+		if check != nil {
+			sinks[i] = trace.NewGuard(cores[i], check)
+		}
 		cursors[i] = trace.NewReplayCursor(st.Rec, uint64(i)<<AddrSpaceShift)
 		if b := st.Rec.ResetAt(); b >= 0 {
 			warm[i] = b
@@ -134,7 +142,7 @@ func Run(cfg Config, streams []Stream) RunResult {
 				if left > quantum {
 					left = quantum
 				}
-				c.Replay(cores[i], b, left)
+				c.Replay(sinks[i], b, left)
 				active = true
 			}
 		}
@@ -180,7 +188,7 @@ func Run(cfg Config, streams []Stream) RunResult {
 			if c.Pos() >= c.Len() {
 				c.Rewind()
 			}
-			c.Replay(cores[i], b, quantum)
+			c.Replay(sinks[i], b, quantum)
 			if c.Pos() >= c.Len() && !done[i] {
 				snapshot(i)
 				if ndone == n {

@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // renderReference produces the artifact the CLI would print for spec:
@@ -302,16 +302,15 @@ func TestConcurrentDuplicateSubmit(t *testing.T) {
 	}
 }
 
-// TestAblationsJobJournalsItsRuns: the ablation sweeps' direct runs
-// go through the job's own store, so the job's journal records every
+// TestAblationsJobJournalsItsRuns: the ablation points are served
+// through the job's own store, so the job's journal records every
 // distinct run they make.
 func TestAblationsJobJournalsItsRuns(t *testing.T) {
 	keys := make(map[string]bool)
-	for _, sweep := range sim.AblationSweeps() {
-		sweep(100, func(spec workload.Spec, rc sim.RunConfig) sim.Result {
-			keys[sim.RunKey(spec, rc)] = true
-			return sim.Result{}
-		})
+	for _, a := range sim.Ablations(100) {
+		for _, pt := range a.Points {
+			keys[sim.RunKey(pt.Spec, pt.RC)] = true
+		}
 	}
 
 	_, ts := newTestServer(t, Config{Jobs: 1, Workers: 2})
@@ -319,6 +318,25 @@ func TestAblationsJobJournalsItsRuns(t *testing.T) {
 	done := waitJob(t, ts, v.ID, "done", func(v jobView) bool { return v.State == StateDone })
 	if done.Progress.Journaled != uint64(len(keys)) {
 		t.Errorf("ablations job journaled %d runs, want %d (its distinct runs)", done.Progress.Journaled, len(keys))
+	}
+}
+
+// TestFailedMixJobCompletes: a mix job whose every cell fails is a job
+// with a FAILED table, not a crashed server: the failed units render
+// around their zero slots and the job finishes done.
+func TestFailedMixJobCompletes(t *testing.T) {
+	if err := faultinject.Enable(faultinject.Config{Seed: 1, Rate: 1, Points: []string{"cell.panic"}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disable)
+	_, ts := newTestServer(t, Config{Jobs: 1, Workers: 2})
+	v := submit(t, ts, harness.SweepSpec{Experiments: []string{"mix2"}, Visits: 100, Seeds: 1, Format: "json"})
+	done := waitJob(t, ts, v.ID, "done", func(v jobView) bool { return v.State == StateDone })
+	if done.FailedCells == 0 {
+		t.Fatal("all-panic mix job reports no failed cells")
+	}
+	if _, _, got := fetchResult(t, ts, v.ID); !bytes.Contains(got, []byte(harness.FailedTitle)) {
+		t.Fatalf("all-panic mix job's artifact lacks the FAILED table:\n%s", got)
 	}
 }
 

@@ -2,24 +2,34 @@ package sim
 
 import "testing"
 
+// runAblation runs every point of a sweep independently and folds its
+// rows.
+func runAblation(a Ablation) []AblationRow {
+	results := make([]Result, len(a.Points))
+	for i, p := range a.Points {
+		results[i] = Run(p.Spec, p.RC)
+	}
+	return a.Rows(results)
+}
+
 func TestAblationSpillFillMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationSpillFill(4000, Run)
-	if len(a.Rows) != 4 {
-		t.Fatalf("rows = %d", len(a.Rows))
+	rows := runAblation(ablationSpillFill(4000))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// More un-hidden conversion latency can only cost cycles.
-	for i := 1; i < len(a.Rows); i++ {
-		if a.Rows[i].Cycles < a.Rows[i-1].Cycles {
-			t.Fatalf("conversion latency sweep not monotone: %+v", a.Rows)
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Cycles < rows[i-1].Cycles {
+			t.Fatalf("conversion latency sweep not monotone: %+v", rows)
 		}
 	}
 	// The headline check: one un-hidden cycle costs well under 1%,
 	// supporting the paper's decision to pipeline the spill logic.
-	if a.Rows[1].Slowdown > 0.01 {
-		t.Fatalf("+1 cycle conversion costs %.2f%%, expected negligible", a.Rows[1].Slowdown*100)
+	if rows[1].Slowdown > 0.01 {
+		t.Fatalf("+1 cycle conversion costs %.2f%%, expected negligible", rows[1].Slowdown*100)
 	}
 }
 
@@ -27,13 +37,13 @@ func TestAblationNonTemporalReducesL1Pressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationNonTemporalCForm(6000, Run)
-	if len(a.Rows) != 2 {
-		t.Fatalf("rows = %d", len(a.Rows))
+	rows := runAblation(ablationNonTemporalCForm(6000))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// The NT variant must not be slower: freed lines bypass the L1.
-	if a.Rows[1].Cycles > a.Rows[0].Cycles*1.005 {
-		t.Fatalf("non-temporal CFORM slower than temporal: %+v", a.Rows)
+	if rows[1].Cycles > rows[0].Cycles*1.005 {
+		t.Fatalf("non-temporal CFORM slower than temporal: %+v", rows)
 	}
 }
 
@@ -41,11 +51,11 @@ func TestAblationQuarantineRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationQuarantine(4000, Run)
-	if len(a.Rows) != 3 {
-		t.Fatalf("rows = %d", len(a.Rows))
+	rows := runAblation(ablationQuarantine(4000))
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range a.Rows {
+	for _, r := range rows {
 		if r.Cycles <= 0 {
 			t.Fatalf("empty run: %+v", r)
 		}
@@ -56,15 +66,15 @@ func TestAblationMLPOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	a := AblationMLP(4000, Run)
-	if len(a.Rows) != 6 {
-		t.Fatalf("rows = %d", len(a.Rows))
+	rows := runAblation(ablationMLP(4000))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// Fewer MSHRs can never help; and the streaming kernel
 	// (libquantum) must benefit more from MSHRs than the dependent
 	// chaser (mcf) in relative terms.
-	mcfGain := a.Rows[0].Cycles / a.Rows[2].Cycles
-	lqGain := a.Rows[3].Cycles / a.Rows[5].Cycles
+	mcfGain := rows[0].Cycles / rows[2].Cycles
+	lqGain := rows[3].Cycles / rows[5].Cycles
 	if mcfGain < 1 || lqGain < 1 {
 		t.Fatalf("MSHRs must not hurt: mcf %.2f lq %.2f", mcfGain, lqGain)
 	}

@@ -14,9 +14,10 @@ package sim
 //     RunKey minus the machine. The op sequence a kernel and
 //     allocator emit is a pure function of the benchmark, the
 //     instrumented layouts and the heap configuration; machines only
-//     consume it (see Matrix's trace keys in internal/harness). One
-//     stored recording therefore serves every machine, which is what
-//     makes an incremental cross-machine sweep replay-only.
+//     consume it. One stored recording therefore serves every
+//     machine, which is what makes an incremental cross-machine sweep
+//     replay-only. StreamOf is its comparable form, the stream
+//     identity the sweep engine groups cells by.
 //
 // Keys are canonical JSON of the determinant set. JSON of a fixed
 // struct is deterministic (field order is declaration order, floats
@@ -96,5 +97,34 @@ func RunKey(spec workload.Spec, rc RunConfig) string {
 // capture run of (spec, rc) produces — RunKey with the machine
 // removed, shared by every machine column that consumes the stream.
 func StreamKey(spec workload.Spec, rc RunConfig) string {
-	return normalizedKeyDoc(spec, rc).String()
+	return StreamOf(spec, rc).Key()
+}
+
+// StreamID identifies one op stream as a comparable value: the
+// machine-free determinant set StreamKey renders, with the heap
+// override held by value, so equal configurations share an ID. The
+// sweep engine groups cells by it at the cost of one map lookup.
+type StreamID struct {
+	doc     keyDoc // Heap and Machine stay nil
+	heap    alloc.Config
+	hasHeap bool
+}
+
+// StreamOf returns the identity of the op stream a capture run of
+// (spec, rc) produces.
+func StreamOf(spec workload.Spec, rc RunConfig) StreamID {
+	id := StreamID{doc: normalizedKeyDoc(spec, rc)}
+	if h := id.doc.Heap; h != nil {
+		id.heap, id.hasHeap, id.doc.Heap = *h, true, nil
+	}
+	return id
+}
+
+// Key returns the stream's store key (StreamKey).
+func (id StreamID) Key() string {
+	d := id.doc
+	if id.hasHeap {
+		d.Heap = &id.heap
+	}
+	return d.String()
 }

@@ -78,7 +78,7 @@ type RunConfig struct {
 	// variants are plain values, so a sensitivity config edits a copy
 	// (e.g. Hier.ExtraL2L3) rather than sharing a pointer. The machine
 	// consumes the workload's op stream without influencing it, which
-	// is why it never enters the harness's trace keys.
+	// is why it never enters the stream identity (StreamOf).
 	Machine machine.Desc
 	// Heap overrides the allocator configuration entirely (ablation
 	// studies); UseCForm/Protocol defaults below do not apply then.
@@ -198,10 +198,13 @@ func (m rig) result(name string, heapBytes uint64) Result {
 }
 
 // Run executes one workload under one configuration on a fresh
-// machine and returns its metrics. Runs are deterministic, which is
-// what lets a store serve a repeat run as a lookup under its RunKey;
-// serving from a store is the caller's business (the harness's Pool
-// does it for the direct runs its sweeps make).
+// machine and returns its metrics. It captures the benchmark's
+// decision script and runs the kernel from it, sharing nothing with
+// any other run. Runs are deterministic, which is what lets a store
+// serve a repeat run as a lookup under its RunKey; the harness's
+// stream table does that for every sweep cell and never calls Run.
+// Run is the tests' independent referee for those cells and the
+// single-run entry point of the examples.
 func Run(spec workload.Spec, rc RunConfig) Result {
 	return RunScripted(spec, rc, CaptureScript(spec, rc.Visits), nil)
 }
@@ -234,7 +237,7 @@ func RunScripted(spec workload.Spec, rc RunConfig, sc *workload.Script, rec *tra
 		env.Sink = rec.Record(m.core)
 		env.ResetHook = rec.MarkReset
 	}
-	if check := watchdog(); check != nil {
+	if check := Watchdog(); check != nil {
 		// The guard wraps outermost so the recording tee (when present)
 		// still sees every op; batch delivery forwards through the tee's
 		// own batched path, leaving results and captures unchanged.
@@ -255,7 +258,7 @@ func RunScripted(spec workload.Spec, rc RunConfig, sc *workload.Script, rec *tra
 	return r
 }
 
-// RunFanout executes a whole trace-key group — sibling configurations
+// RunFanout executes a whole stream group — sibling configurations
 // whose op streams provably coincide — in a single pass: the script
 // drives one kernel and one allocator, and every flushed batch is
 // multicast to each sibling's fresh machine in order. Semantically
@@ -264,7 +267,7 @@ func RunScripted(spec workload.Spec, rc RunConfig, sc *workload.Script, rec *tra
 // mechanically the kernel, the allocator and the batch construction
 // are paid once for N machines. rcs[0] is the capture configuration
 // (it also parameterizes the shared heap; stream-equal siblings have
-// equal heap configurations by definition of the trace key).
+// equal heap configurations by definition of StreamOf).
 // When rec is non-nil the generated op stream is additionally
 // captured into it (with the measurement boundary and heap
 // footprint), so the store-aware scheduler can persist the stream
@@ -284,7 +287,7 @@ func RunFanout(spec workload.Spec, rcs []RunConfig, sc *workload.Script, rec *tr
 	if rec != nil {
 		sink = rec.Record(mc)
 	}
-	if check := watchdog(); check != nil {
+	if check := Watchdog(); check != nil {
 		sink = trace.NewGuard(sink, check)
 	}
 	env := &workload.Env{
@@ -356,19 +359,19 @@ func RunReplayed(name string, rc RunConfig, rec *trace.Recording) Result {
 	}
 	t := probeStart()
 	m := buildMachine(rc)
+	var sink trace.BatchSink = m.core
+	if check := Watchdog(); check != nil {
+		sink = trace.NewGuard(m.core, check)
+	}
 	b := trace.NewBatch(trace.DefaultBatchCap)
 	t = probeStage(t, &probe.setupNs)
-	check := watchdog()
-	boundary := rec.ResetAt()
-	if boundary < 0 {
-		boundary = rec.Len()
-	}
-	guardReplay(check, rec, m.core, b, 0, boundary)
-	if rec.ResetAt() >= 0 {
+	c := trace.NewReplayCursor(rec, 0)
+	if boundary := rec.ResetAt(); boundary >= 0 {
+		c.Replay(sink, b, boundary)
 		m.core.ResetTiming()
 		m.hier.ResetStats()
 	}
-	guardReplay(check, rec, m.core, b, boundary, rec.Len())
+	c.Replay(sink, b, rec.Len())
 	probeStage(t, &probe.replayNs)
 	probeOps(m.core.Stats.Instructions)
 	r := m.result(name, rec.HeapBytes())

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // cellTimeoutNs is the configured per-cell deadline; 0 disables the
@@ -47,10 +45,12 @@ func (e CellTimeout) Error() string {
 	return fmt.Sprintf("cell exceeded -cell-timeout=%s", e.Limit)
 }
 
-// watchdog arms one run's deadline, returning its batch-boundary check
+// Watchdog arms one run's deadline, returning its batch-boundary check
 // — or nil when no timeout is configured, keeping the default path
-// free of wrapping.
-func watchdog() func() {
+// free of wrapping. Every simulation loop wraps its sink in a
+// trace.Guard with the check: the generation passes here, the replays
+// of RunReplayed, and each core of a multicore.Run.
+func Watchdog() func() {
 	ns := cellTimeoutNs.Load()
 	if ns <= 0 {
 		return nil
@@ -61,26 +61,5 @@ func watchdog() func() {
 		if time.Since(start) > limit {
 			panic(CellTimeout{Limit: limit})
 		}
-	}
-}
-
-// guardReplay streams rec[lo:hi) to s, interposing the watchdog check
-// every replayChunk ops when armed. The incremental cursor keeps the
-// chunked walk O(hi-lo), same as the unguarded range replay.
-func guardReplay(check func(), rec *trace.Recording, s trace.BatchSink, b *trace.Batch, lo, hi int) {
-	if check == nil {
-		rec.ReplayRange(s, b, lo, hi)
-		return
-	}
-	const replayChunk = 1 << 16
-	c := trace.NewReplayCursor(rec, 0)
-	c.Seek(lo)
-	for c.Pos() < hi {
-		check()
-		n := hi - c.Pos()
-		if n > replayChunk {
-			n = replayChunk
-		}
-		c.Replay(s, b, n)
 	}
 }

@@ -59,9 +59,11 @@ func (m *Multicast) RunBatch(b *Batch) {
 // producers that bypass batching (the allocator's direct emissions)
 // reach all machines in program order too. These calls are not
 // split-timed — per-op clock reads would dominate them — so their
-// sibling share lands in the caller's own stage. The groups the
-// harness forms today emit no per-op traffic at all (only silent-heap
-// configurations group), so the attribution skew is zero in practice.
+// sibling share lands in the caller's own stage. Groups whose heap
+// issues CFORMs send them per-op through here: the sens-machine and
+// sens-llc CFORM columns and the xalancbmk ablation group do, so
+// their sibling machines' CFORM dispatch is attributed to capture,
+// not replay.
 
 func (m *Multicast) NonMem(n uint32) {
 	for _, s := range m.sinks {

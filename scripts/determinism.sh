@@ -10,7 +10,8 @@
 #   every listed format and the outputs are diffed byte-for-byte. The
 #   cases cover the engine's distinct paths: fig3 (analytic), fig11
 #   (single-core sweep), mix2 (multicore replay), sens-machine
-#   (cross-machine fan-out), ablations (direct runs).
+#   (cross-machine fan-out), ablations (shared-stream fan-out of
+#   declared points).
 #
 #   store case — fig11+mix2 run storeless, cold into an empty store,
 #   and warm out of it; all three outputs must match byte-for-byte
